@@ -1,11 +1,10 @@
 package ltree
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"math"
 
-	"github.com/ltree-db/ltree/internal/document"
 	"github.com/ltree-db/ltree/internal/storage"
 	"github.com/ltree-db/ltree/internal/storage/blob"
 )
@@ -135,13 +134,10 @@ func (s *Store) WALStats() (WALStats, bool) {
 // reconstructible, bit-identically, for as long as the tier holds it.
 //
 // The returned store is detached (no WAL): it is a snapshot of the
-// past, not a fork of the log. For a plain (non-WAL) Backend, seq must
-// name a stored snapshot version exactly (same as LoadVersion).
-func LoadAt(b Backend, seq uint64) (*Store, error) {
-	w, ok := b.(WALBackend)
-	if !ok {
-		return LoadVersion(b, seq)
-	}
+// past, not a fork of the log. Checkpoint + LoadAt is also the rollback
+// idiom: checkpoint before a risky batch, LoadAt that version to get the
+// state back.
+func LoadAt(w WALBackend, seq uint64) (*Store, error) {
 	vers, err := w.Versions()
 	if err != nil {
 		return nil, err
@@ -159,25 +155,12 @@ func LoadAt(b Backend, seq uint64) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc, err := document.Restore(bytes.NewReader(data))
+	s, err := restoreStore(data)
 	if err != nil {
 		return nil, err
 	}
-	s := newStore(doc)
-	if err := s.verifyRestoredRoot(); err != nil {
-		return nil, err
-	}
-	reached := base
-	if err := w.ReplaySince(base, func(q uint64, payload []byte) error {
-		if q > seq {
-			return errStopReplay
-		}
-		if err := s.applyShippedLocked(payload); err != nil {
-			return err
-		}
-		reached = q
-		return nil
-	}); err != nil && !errors.Is(err, errStopReplay) {
+	reached, err := s.replayTail(w.ReplaySince, base, seq)
+	if err != nil {
 		return nil, fmt.Errorf("ltree: replay to seq %d: %w", seq, err)
 	}
 	if reached != seq {
@@ -218,24 +201,14 @@ func OpenFollowerSeeded(w WALBackend, bs BlobStore, prefix string) (*Follower, e
 		}
 		return nil, fmt.Errorf("ltree: open seeded follower: %w", err)
 	}
-	doc, err := document.Restore(bytes.NewReader(snap))
+	st, err := restoreStore(snap)
 	if err != nil {
 		return nil, fmt.Errorf("ltree: open seeded follower: checkpoint restore: %w", err)
 	}
-	st := newStore(doc)
-	if err := st.verifyRestoredRoot(); err != nil {
-		return nil, fmt.Errorf("ltree: open seeded follower: %w", err)
-	}
-	f := &Follower{
-		st:      st,
-		src:     src,
-		done:    make(chan struct{}),
-		applied: seq,
-		bump:    make(chan struct{}),
-	}
-	end, err := storage.ReplayBlobSince(bs, prefix, seq, func(q uint64, payload []byte) error {
-		return f.applyBatch(q, payload)
-	})
+	end, err := st.replayTail(func(since uint64, fn func(uint64, []byte) error) error {
+		_, err := storage.ReplayBlobSince(bs, prefix, since, fn)
+		return err
+	}, seq, math.MaxUint64)
 	if err != nil {
 		return nil, fmt.Errorf("ltree: open seeded follower: blob replay: %w", err)
 	}
@@ -246,7 +219,5 @@ func OpenFollowerSeeded(w WALBackend, bs BlobStore, prefix string) (*Follower, e
 		tail.Close()
 		return nil, fmt.Errorf("ltree: open seeded follower: leader log re-based during bootstrap: %w", storage.ErrShipRebased)
 	}
-	f.tail = tail
-	go f.run()
-	return f, nil
+	return startFollower(st, src, tail, end), nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"sort"
 	"time"
 
 	ltree "github.com/ltree-db/ltree"
@@ -259,3 +260,28 @@ func expBlob(c config) {
 	verdict(ts.UploadRetries > 0 && ts.UploadLag == 0,
 		fmt.Sprintf("tier converged through injected faults (%d upload retries, lag 0)", ts.UploadRetries))
 }
+
+// mean returns the arithmetic mean of a duration sample.
+func mean(xs []time.Duration) time.Duration {
+	if len(xs) == 0 {
+		return 0
+	}
+	var sum time.Duration
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / time.Duration(len(xs))
+}
+
+// p95 returns the 95th-percentile of a duration sample.
+func p95(xs []time.Duration) time.Duration {
+	if len(xs) == 0 {
+		return 0
+	}
+	sorted := append([]time.Duration(nil), xs...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	return sorted[len(sorted)*95/100]
+}
+
+// us renders a duration as float microseconds for table cells.
+func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }

@@ -48,13 +48,9 @@ var experiments = []experiment{
 	{"delete", "§2.3: deletions relabel nothing; compaction", expDelete},
 	{"disk", "§3.1 cost unit: simulated disk accesses under an LRU pool", expDisk},
 	{"radix", "ablation: tight radix f−1 vs the paper's printed f+1", expRadix},
-	{"concurrent", "engine: concurrent reads over the COW index vs the exclusive-lock path", expConcurrent},
-	{"wal", "engine: commit latency — snapshot-per-save vs WAL append vs batched WAL", expWal},
 	{"chunk", "engine: chunked COW posting lists — single-op patch cost vs tag fan-in, flat baseline", expChunk},
 	{"pipeline", "engine: lazy cursor pipeline — deep-path intermediate memory + first-result latency vs materialized join", expPipeline},
-	{"replica", "engine: log-shipping follower — apply lag + freshness vs snapshot-restore baseline", expReplica},
 	{"pushdown", "engine: zig-zag join + chunk-level predicate pushdown — selectivity × depth vs the linear pipeline", expPushdown},
-	{"serve", "engine: follower fleet over the wire — aggregate queries/sec vs single store, per-follower fan-out cost", expServe},
 	{"forest", "engine: sharded forest — parallel commit pipelines, parallel recovery, k-way merged drain tax", expForest},
 	{"blob", "engine: blob storage tier — async upload commit tax, blob-seeded bootstrap, history beyond released local disk", expBlob},
 	{"diff", "engine: hash-pruned version diff — O(changed chunks) walk vs full-fingerprint oracle on a 1%-touched document", expDiff},

@@ -126,7 +126,10 @@ func runLeader(walDir, seed, shipAddr, httpAddr, blobDir, blobPrefix string, blo
 			return fmt.Errorf("attach blob tier %s: %w", blobDir, err)
 		}
 	}
-	st, err := ltree.LoadLatest(w)
+	// One policy for both branches: it is per-open configuration, so a
+	// recovered leader must be handed it again or it never checkpoints.
+	autoCkpt := ltree.AutoCheckpoint(4<<20, 16384)
+	st, err := ltree.LoadLatest(w, autoCkpt)
 	if errors.Is(err, ltree.ErrNoVersion) {
 		// Empty log: this is first boot, seed it.
 		if seed == "" {
@@ -141,7 +144,7 @@ func runLeader(walDir, seed, shipAddr, httpAddr, blobDir, blobPrefix string, blo
 		if err != nil {
 			return err
 		}
-		if err := st.WithWAL(w, ltree.AutoCheckpoint(4<<20, 16384)); err != nil {
+		if err := st.WithWAL(w, autoCkpt); err != nil {
 			return err
 		}
 	} else if err != nil {

@@ -1,6 +1,7 @@
 package ltree_test
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -110,4 +111,54 @@ func TestStoreDetectsDivergentApply(t *testing.T) {
 			t.Fatalf("follower applying a divergent stamp: got %v, want ErrReplicaDiverged", err)
 		}
 	})
+}
+
+// TestRestoreSeamsVerifyStampedRoot forges a checkpoint whose stamped
+// index root does not describe its document and requires every seam
+// that turns snapshot bytes into a store to refuse it with
+// ErrReplicaDiverged — none may hand back a store (or a Running
+// follower) answering queries from state the writer never vouched for.
+func TestRestoreSeamsVerifyStampedRoot(t *testing.T) {
+	bs := ltree.NewBlobMemory()
+	st, w, tier, commit := blobLeader(t, bs, false)
+	defer w.Close()
+	commit()
+
+	wrong := st.RootHash()
+	wrong[0] ^= 0xff
+	var forged bytes.Buffer
+	if err := st.Document().SnapshotStamped(&forged, [32]byte(wrong)); err != nil {
+		t.Fatal(err)
+	}
+	seq, err := w.Checkpoint(forged.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	barrierT(t, tier) // the blob tier now serves the forged checkpoint too
+
+	closing := func(f *ltree.Follower, err error) error {
+		if err == nil {
+			f.Close()
+		}
+		return err
+	}
+	for _, seam := range []struct {
+		name string
+		open func() error
+	}{
+		{"Restore", func() error {
+			_, err := ltree.Restore(bytes.NewReader(forged.Bytes()))
+			return err
+		}},
+		{"LoadLatest", func() error { _, err := ltree.LoadLatest(w); return err }},
+		{"LoadAt", func() error { _, err := ltree.LoadAt(w, seq); return err }},
+		{"OpenFollower", func() error { return closing(ltree.OpenFollower(w)) }},
+		{"OpenFollowerSeeded", func() error { return closing(ltree.OpenFollowerSeeded(w, bs, "leader")) }},
+	} {
+		t.Run(seam.name, func(t *testing.T) {
+			if err := seam.open(); !errors.Is(err, ltree.ErrReplicaDiverged) {
+				t.Fatalf("forged checkpoint root: got %v, want ErrReplicaDiverged", err)
+			}
+		})
+	}
 }

@@ -51,7 +51,8 @@ var (
 
 // Persistence sentinels (snapshots, WAL).
 var (
-	// ErrNoVersion reports a missing snapshot version in a Backend.
+	// ErrNoVersion reports a missing checkpoint version in a WALBackend
+	// (an empty backend has none; LoadAt names one that is not durable).
 	ErrNoVersion = storage.ErrNoVersion
 
 	// ErrShipRebased reports that a leader's log was re-based past a

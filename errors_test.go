@@ -61,7 +61,12 @@ func TestErrorsSurface(t *testing.T) {
 	})
 
 	t.Run("ErrNoVersion", func(t *testing.T) {
-		if _, err := ltree.LoadLatest(ltree.NewMemoryBackend()); !errors.Is(err, ltree.ErrNoVersion) {
+		w, err := ltree.NewWALBackend(t.TempDir(), ltree.WALOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		if _, err := ltree.LoadLatest(w); !errors.Is(err, ltree.ErrNoVersion) {
 			t.Fatalf("got %v", err)
 		}
 	})

@@ -1,14 +1,13 @@
 package ltree
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"time"
 
-	"github.com/ltree-db/ltree/internal/document"
 	"github.com/ltree-db/ltree/internal/storage"
 )
 
@@ -103,21 +102,28 @@ func OpenFollower(w WALBackend) (*Follower, error) {
 		}
 		return nil, fmt.Errorf("ltree: open follower: %w", err)
 	}
-	doc, err := document.Restore(bytes.NewReader(snap))
+	st, err := restoreStore(snap)
 	if err != nil {
 		tail.Close()
 		return nil, fmt.Errorf("ltree: open follower: checkpoint restore: %w", err)
 	}
+	// NewShipper proved the TailSource assertion.
+	return startFollower(st, w.(storage.TailSource), tail, seq), nil
+}
+
+// startFollower wraps a restored store at applied sequence number seq
+// and starts the apply loop over tail.
+func startFollower(st *Store, src storage.TailSource, tail *storage.Tailer, seq uint64) *Follower {
 	f := &Follower{
-		st:      newStore(doc),
-		src:     w.(storage.TailSource), // NewShipper proved the assertion
+		st:      st,
+		src:     src,
 		tail:    tail,
 		done:    make(chan struct{}),
 		applied: seq,
 		bump:    make(chan struct{}),
 	}
 	go f.run()
-	return f, nil
+	return f
 }
 
 // run is the apply loop: ship one durable batch, apply it, repeat until
@@ -283,9 +289,12 @@ func (f *Follower) Promote() (*Store, error) {
 	}
 	// Drain the durable tail synchronously: everything the log holds
 	// beyond what the loop applied before it stopped.
-	if err := f.src.ReplaySince(applied, func(seq uint64, payload []byte) error {
-		return f.applyBatch(seq, payload)
-	}); err != nil {
+	reached, err := f.st.replayTail(f.src.ReplaySince, applied, math.MaxUint64)
+	f.mu.Lock()
+	f.applied = reached
+	f.batches += reached - applied
+	f.mu.Unlock()
+	if err != nil {
 		f.fail(err)
 		return nil, fmt.Errorf("ltree: promote: drain: %w", err)
 	}

@@ -208,26 +208,21 @@ func openShard(dir string, opt ForestOptions) (*forestShard, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := LoadLatest(w)
-	switch {
-	case errors.Is(err, ErrNoVersion):
+	// The auto-checkpoint policy is per-open configuration, not logged
+	// state: the recovered and the first-boot branch take the same option.
+	autoCkpt := AutoCheckpoint(opt.AutoCheckpointBytes, opt.AutoCheckpointRecords)
+	st, err := LoadLatest(w, autoCkpt)
+	if errors.Is(err, ErrNoVersion) {
 		// First boot: seed the synthetic shard root and write its
 		// baseline checkpoint.
 		st, err = OpenString(emptyShardXML, opt.Params)
 		if err == nil {
-			err = st.WithWAL(w, AutoCheckpoint(opt.AutoCheckpointBytes, opt.AutoCheckpointRecords))
+			err = st.WithWAL(w, autoCkpt)
 		}
-		if err != nil {
-			w.Close()
-			return nil, err
-		}
-	case err != nil:
+	}
+	if err != nil {
 		w.Close()
 		return nil, err
-	default:
-		// Recovered store: the WAL is attached, but the auto-checkpoint
-		// policy is per-open configuration, not logged state.
-		st.walPolicy = walPolicy{maxBytes: opt.AutoCheckpointBytes, maxRecords: opt.AutoCheckpointRecords}
 	}
 	return &forestShard{st: st, wal: w}, nil
 }

@@ -131,8 +131,7 @@ func (d *Doc) RestoredIndexRoot() ([32]byte, bool) {
 	return d.restoredRoot, d.hasRestoredRoot
 }
 
-// Restore reconstructs a labeled document from a Snapshot stream; both
-// the current v2 format and legacy v1 gob streams are accepted.
+// Restore reconstructs a labeled document from a Snapshot stream.
 func Restore(r io.Reader) (*Doc, error) {
 	img, err := storage.ReadSnapshot(r)
 	if err != nil {

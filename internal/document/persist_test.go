@@ -2,6 +2,7 @@ package document
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -114,44 +115,9 @@ func TestSnapshotRestoreContinuesWorking(t *testing.T) {
 	}
 }
 
-// TestRestoreReadsV1 feeds Restore a legacy gob (format v1) stream and
-// expects bit-identical labels — old snapshots must stay restorable.
-func TestRestoreReadsV1(t *testing.T) {
-	d := loadString(t, figure2XML, p42)
-	if _, err := d.InsertElement(d.X.Root.Child(0), 0, "D"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.DeleteSubtree(d.X.Root.Child(1)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := storage.WriteLegacySnapshot(&buf, d.Image()); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Restore(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.Check(); err != nil {
-		t.Fatal(err)
-	}
-	want, got := d.tree.Nums(), restored.tree.Nums()
-	if len(want) != len(got) {
-		t.Fatalf("%d labels, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("label %d: %d, want %d", i, got[i], want[i])
-		}
-	}
-	if restored.X.String() != d.X.String() {
-		t.Fatal("document text changed through v1 round trip")
-	}
-}
-
 func TestRestoreRejectsGarbage(t *testing.T) {
-	if _, err := Restore(bytes.NewReader([]byte("not a snapshot"))); err == nil {
-		t.Fatal("garbage restore should fail")
+	if _, err := Restore(bytes.NewReader([]byte("not a snapshot"))); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("garbage restore = %v, want storage.ErrCorrupt", err)
 	}
 }
 

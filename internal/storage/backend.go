@@ -1,47 +1,16 @@
 package storage
 
-import (
-	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
-)
+import "errors"
 
-// Backend stores immutable snapshot versions, graviton-style: every Put
-// appends a new version, old versions stay readable until pruned. The
-// interface is deliberately tiny — a blob store keyed by a monotonically
-// increasing version — so WAL, sharded and remote backends can slot in
-// behind it without touching the engine.
-type Backend interface {
-	// Put stores data as the next version and returns its number
-	// (versions start at 1 and only grow).
-	Put(data []byte) (uint64, error)
-	// Get returns the blob stored under the version.
-	Get(version uint64) ([]byte, error)
-	// Latest returns the highest version and its blob.
-	Latest() (uint64, []byte, error)
-	// Versions lists the stored versions in ascending order.
-	Versions() ([]uint64, error)
-	// Prune removes every version strictly below keep. The newest stored
-	// version always survives, whatever keep says: a snapshot store never
-	// deletes its only snapshot, and retaining it keeps Put's version
-	// numbers growing across prunes (File derives the next number from
-	// what is on disk).
-	Prune(keep uint64) error
-}
-
-// WALBackend extends Backend with incremental persistence: commits append
-// framed change batches to a write-ahead log instead of rewriting a
-// snapshot, and recovery is the newest checkpoint plus a replay of the
-// durable log tail. The snapshot-versioned half of the interface keeps
-// working — a WALBackend's versions are its checkpoints.
+// WALBackend is the persistence seam the engine writes through: commits
+// append framed change batches to a write-ahead log, a checkpoint stores
+// a full snapshot and truncates the log, and recovery is the newest
+// checkpoint plus a replay of the durable log tail. A backend's versions
+// are its checkpoints, numbered by the batch sequence number they cover.
 //
-// The *WAL type is the file-backed implementation; the Store engine
-// detects a WALBackend in LoadLatest and recovers through ReplaySince.
+// The *WAL type is the file-backed implementation; RemoteTailSource is
+// the read-only network one.
 type WALBackend interface {
-	Backend
 	// AppendBatch appends one encoded change batch (an EncodeOps payload)
 	// as the next log record and returns its sequence number (sequence
 	// numbers start at 1 and grow by one per batch).
@@ -54,221 +23,21 @@ type WALBackend interface {
 	// and truncates the log; it returns the checkpoint's version (the
 	// covered sequence number).
 	Checkpoint(snapshot []byte) (uint64, error)
+	// Get returns the checkpoint snapshot stored under the version.
+	Get(version uint64) ([]byte, error)
+	// Latest returns the newest checkpoint's version and snapshot.
+	Latest() (uint64, []byte, error)
+	// Versions lists the stored checkpoint versions in ascending order.
+	Versions() ([]uint64, error)
+	// Prune removes every checkpoint strictly below keep. The newest one
+	// always survives, whatever keep says: recovery needs a snapshot to
+	// replay onto.
+	Prune(keep uint64) error
 	// Sync makes group-committed appends durable.
 	Sync() error
 	// Close flushes and releases the log; appending afterwards fails.
 	Close() error
 }
 
-// ErrNoVersion reports a missing snapshot version.
+// ErrNoVersion reports a missing checkpoint version.
 var ErrNoVersion = errors.New("storage: no such snapshot version")
-
-// Memory is an in-process Backend, safe for concurrent use.
-type Memory struct {
-	mu    sync.RWMutex
-	blobs map[uint64][]byte
-	next  uint64
-}
-
-// NewMemory returns an empty in-memory backend.
-func NewMemory() *Memory {
-	return &Memory{blobs: make(map[uint64][]byte), next: 1}
-}
-
-// Put implements Backend.
-func (m *Memory) Put(data []byte) (uint64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	v := m.next
-	m.next++
-	m.blobs[v] = append([]byte(nil), data...)
-	return v, nil
-}
-
-// Get implements Backend.
-func (m *Memory) Get(version uint64) ([]byte, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	blob, ok := m.blobs[version]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNoVersion, version)
-	}
-	return append([]byte(nil), blob...), nil
-}
-
-// Latest implements Backend.
-func (m *Memory) Latest() (uint64, []byte, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	best := uint64(0)
-	for v := range m.blobs {
-		if v > best {
-			best = v
-		}
-	}
-	if best == 0 {
-		return 0, nil, ErrNoVersion
-	}
-	return best, append([]byte(nil), m.blobs[best]...), nil
-}
-
-// Versions implements Backend.
-func (m *Memory) Versions() ([]uint64, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]uint64, 0, len(m.blobs))
-	for v := range m.blobs {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}
-
-// Prune implements Backend.
-func (m *Memory) Prune(keep uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	newest := uint64(0)
-	for v := range m.blobs {
-		if v > newest {
-			newest = v
-		}
-	}
-	for v := range m.blobs {
-		if v < keep && v != newest {
-			delete(m.blobs, v)
-		}
-	}
-	return nil
-}
-
-// File is a directory-backed Backend: one file per version, written to a
-// temp name and renamed so a crash never leaves a torn snapshot visible.
-type File struct {
-	mu  sync.Mutex
-	dir string
-}
-
-// NewFile opens (creating if needed) a directory-backed backend.
-func NewFile(dir string) (*File, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return &File{dir: dir}, nil
-}
-
-// path returns the blob file name for a version.
-func (f *File) path(version uint64) string {
-	return filepath.Join(f.dir, fmt.Sprintf("v%016d.ltsnap", version))
-}
-
-// Put implements Backend.
-func (f *File) Put(data []byte) (uint64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	versions, err := f.list()
-	if err != nil {
-		return 0, err
-	}
-	next := uint64(1)
-	if len(versions) > 0 {
-		next = versions[len(versions)-1] + 1
-	}
-	tmp, err := os.CreateTemp(f.dir, "put-*.tmp")
-	if err != nil {
-		return 0, err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, err
-	}
-	if err := os.Rename(tmp.Name(), f.path(next)); err != nil {
-		os.Remove(tmp.Name())
-		return 0, err
-	}
-	// Make the rename durable: without the directory fsync a crash can
-	// forget the entry for a version Put already acknowledged.
-	if dir, err := os.Open(f.dir); err == nil {
-		_ = dir.Sync()
-		dir.Close()
-	}
-	return next, nil
-}
-
-// Get implements Backend.
-func (f *File) Get(version uint64) ([]byte, error) {
-	data, err := os.ReadFile(f.path(version))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("%w: %d", ErrNoVersion, version)
-	}
-	return data, err
-}
-
-// Latest implements Backend.
-func (f *File) Latest() (uint64, []byte, error) {
-	f.mu.Lock()
-	versions, err := f.list()
-	f.mu.Unlock()
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(versions) == 0 {
-		return 0, nil, ErrNoVersion
-	}
-	v := versions[len(versions)-1]
-	data, err := f.Get(v)
-	return v, data, err
-}
-
-// Versions implements Backend.
-func (f *File) Versions() ([]uint64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.list()
-}
-
-// Prune implements Backend.
-func (f *File) Prune(keep uint64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	versions, err := f.list()
-	if err != nil || len(versions) == 0 {
-		return err
-	}
-	newest := versions[len(versions)-1]
-	for _, v := range versions {
-		if v < keep && v != newest {
-			if err := os.Remove(f.path(v)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// list scans the directory for version files (caller holds the lock).
-func (f *File) list() ([]uint64, error) {
-	entries, err := os.ReadDir(f.dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []uint64
-	for _, e := range entries {
-		var v uint64
-		if _, err := fmt.Sscanf(e.Name(), "v%016d.ltsnap", &v); err == nil && v > 0 {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}

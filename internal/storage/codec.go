@@ -1,24 +1,21 @@
-// Package storage is the persistence layer: a versioned binary snapshot
-// codec and pluggable backends that hold snapshot versions. It sits below
-// internal/document — the codec works on a neutral Image so the document
-// layer depends on storage, never the other way around, leaving a clean
-// seam for write-ahead logging and sharding backends.
+// Package storage is the persistence layer: a binary snapshot codec and
+// the write-ahead log (checkpoints + framed op batches, with log shipping
+// and a blob tier on top) that is the one way state is saved and
+// restored. It sits below internal/document — the codec works on a
+// neutral Image so the document layer depends on storage, never the
+// other way around.
 //
-// Wire formats:
-//
-//	v2 (current) — length-prefixed binary: a magic header, uvarint scalar
-//	fields, delta-encoded labels (they are strictly increasing, so gaps
-//	compress to a uvarint each), a bit-packed tombstone map, and a
-//	pre-order DOM walk with length-prefixed strings.
-//	v1 (read-only) — the original encoding/gob stream; ReadSnapshot
-//	detects it by the missing magic and keeps restoring it forever.
+// Snapshot wire format (v2) — length-prefixed binary: a magic header,
+// uvarint scalar fields, delta-encoded labels (they are strictly
+// increasing, so gaps compress to a uvarint each), a bit-packed tombstone
+// map, and a pre-order DOM walk with length-prefixed strings. A stream
+// without the magic is rejected as ErrCorrupt.
 package storage
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -57,8 +54,7 @@ type NodeRec struct {
 	Children []NodeRec
 }
 
-// AttrRec is one element attribute. Field names match xmldom.Attr so v1
-// gob streams (which embedded that type) decode into it transparently.
+// AttrRec is one element attribute.
 type AttrRec struct {
 	Name  string
 	Value string
@@ -85,7 +81,7 @@ const (
 	maxStr = 1 << 30
 )
 
-// ErrCorrupt reports a malformed v2 stream.
+// ErrCorrupt reports a malformed snapshot stream.
 var ErrCorrupt = errors.New("storage: corrupt snapshot")
 
 // WriteSnapshot encodes the image in format v2.
@@ -151,8 +147,8 @@ func WriteSnapshot(w io.Writer, img *Image) error {
 // SnapshotRootHash peeks the index root hash out of an encoded v2
 // snapshot without decoding the document — the flags byte and hash
 // bytes sit right after the magic, so backup verification and manifest
-// stamping read 41 bytes, not the image. ok is false for v1 streams,
-// short streams, and v2 streams written without a hash.
+// stamping read 41 bytes, not the image. ok is false for streams without
+// the magic, short streams, and streams written without a hash.
 func SnapshotRootHash(data []byte) (root [32]byte, ok bool) {
 	if len(data) < len(magic)+1 || !bytes.Equal(data[:len(magic)], magic[:]) {
 		return root, false
@@ -165,20 +161,23 @@ func SnapshotRootHash(data []byte) (root [32]byte, ok bool) {
 	return root, true
 }
 
-// ReadSnapshot decodes a snapshot stream, sniffing the version: streams
-// with the "LTSNAP" magic carry a binary format version (2 today; a
-// higher one is reported as unsupported rather than mis-decoded),
-// anything else is handed to the v1 gob decoder.
+// ReadSnapshot decodes a snapshot stream. The "LTSNAP" magic carries a
+// binary format version (2 today; another one is reported as unsupported
+// rather than mis-decoded); a stream without the magic — too short, or
+// some other format entirely — is ErrCorrupt at the sniff.
 func ReadSnapshot(r io.Reader) (*Image, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(len(magic))
-	if err == nil && bytes.Equal(head[:6], magic[:6]) {
-		if version := uint16(head[6])<<8 | uint16(head[7]); version != 2 {
-			return nil, fmt.Errorf("storage: restore: unsupported snapshot format %d", version)
-		}
-		return readV2(br)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, err
 	}
-	return readV1(br)
+	if len(head) < len(magic) || !bytes.Equal(head[:6], magic[:6]) {
+		return nil, fmt.Errorf("%w: no LTSNAP magic", ErrCorrupt)
+	}
+	if version := uint16(head[6])<<8 | uint16(head[7]); version != 2 {
+		return nil, fmt.Errorf("storage: restore: unsupported snapshot format %d", version)
+	}
+	return readV2(br)
 }
 
 // readV2 decodes the current binary format (the magic is still unread).
@@ -382,56 +381,4 @@ func getString(br *bufio.Reader) (string, error) {
 		buf = append(buf, chunk[:want]...)
 	}
 	return string(buf), nil
-}
-
-// ---------------------------------------------------------------- v1 gob
-
-// v1Snapshot mirrors the original gob wire image field for field (gob
-// matches struct fields by name, so the package move is invisible to old
-// streams).
-type v1Snapshot struct {
-	Format  int
-	F, S    int
-	Wide    bool
-	Height  int
-	Labels  []uint64
-	Deleted []bool
-	Root    NodeRec
-}
-
-const v1Format = 1
-
-func readV1(br *bufio.Reader) (*Image, error) {
-	var snap v1Snapshot
-	if err := gob.NewDecoder(br).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("storage: restore: %w", err)
-	}
-	if snap.Format != v1Format {
-		return nil, fmt.Errorf("storage: restore: unsupported format %d", snap.Format)
-	}
-	return &Image{
-		F:       snap.F,
-		S:       snap.S,
-		Wide:    snap.Wide,
-		Height:  snap.Height,
-		Labels:  snap.Labels,
-		Deleted: snap.Deleted,
-		Root:    snap.Root,
-	}, nil
-}
-
-// WriteLegacySnapshot emits the legacy v1 gob format, for operators who
-// need a snapshot an old binary can still read (and for back-compat
-// tests). New code should use WriteSnapshot.
-func WriteLegacySnapshot(w io.Writer, img *Image) error {
-	return gob.NewEncoder(w).Encode(v1Snapshot{
-		Format:  v1Format,
-		F:       img.F,
-		S:       img.S,
-		Wide:    img.Wide,
-		Height:  img.Height,
-		Labels:  img.Labels,
-		Deleted: img.Deleted,
-		Root:    img.Root,
-	})
 }

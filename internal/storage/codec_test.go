@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -65,25 +66,8 @@ func TestV2NoTombstones(t *testing.T) {
 	}
 }
 
-// TestV1BackCompat: a stream produced by the original gob writer decodes
-// into the same image the v2 path yields.
-func TestV1BackCompat(t *testing.T) {
-	want := img()
-	var buf bytes.Buffer
-	if err := WriteLegacySnapshot(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("v1 decode mismatch:\ngot  %+v\nwant %+v", got, want)
-	}
-}
-
 // TestReadRejectsFutureVersion: an LTSNAP stream with a higher format
-// version must name the version, not fall through to the gob decoder.
+// version must name the version, not be mis-decoded as v2.
 func TestReadRejectsFutureVersion(t *testing.T) {
 	future := append([]byte{}, magic[:6]...)
 	future = append(future, 0, 3) // version 3
@@ -96,12 +80,17 @@ func TestReadRejectsFutureVersion(t *testing.T) {
 func TestReadRejectsGarbage(t *testing.T) {
 	for _, bad := range [][]byte{
 		nil,
+		[]byte("LTSN"), // shorter than the magic
 		[]byte("not a snapshot"),
-		append(append([]byte{}, magic[:]...), 0xff), // magic then truncation
 	} {
-		if _, err := ReadSnapshot(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("garbage %q decoded", bad)
+		// No LTSNAP magic: rejected at the sniff, never handed to a decoder.
+		if _, err := ReadSnapshot(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("garbage %q: err = %v, want ErrCorrupt", bad, err)
 		}
+	}
+	// Magic then truncation.
+	if _, err := ReadSnapshot(bytes.NewReader(append(append([]byte{}, magic[:]...), 0xff))); err == nil {
+		t.Fatal("truncated v2 stream decoded")
 	}
 }
 

@@ -1,7 +1,7 @@
 package storage
 
 // Native fuzz targets over the two decode surfaces a crashed or hostile
-// disk can reach: the v2/v1 snapshot codec (FuzzSnapshotDecode) and the
+// disk can reach: the snapshot codec (FuzzSnapshotDecode) and the
 // WAL record framing + op payload codec (FuzzWALReplay). The contract
 // under fuzz: decoders never panic, never allocate unboundedly (every
 // length-prefixed read is chunked against actual stream bytes), and
@@ -54,12 +54,13 @@ func snapshotSeeds(tb testing.TB) [][]byte {
 	if err := WriteSnapshot(&v2, seedImage()); err != nil {
 		tb.Fatal(err)
 	}
-	var v1 bytes.Buffer
-	if err := WriteLegacySnapshot(&v1, seedImage()); err != nil {
+	// The retired v1 gob format stays in the corpus as a must-reject input.
+	v1, err := os.ReadFile(filepath.Join("testdata", "golden-v1.gob"))
+	if err != nil {
 		tb.Fatal(err)
 	}
 	truncated := v2.Bytes()[:v2.Len()/2]
-	return [][]byte{v2.Bytes(), v1.Bytes(), truncated, []byte("LTSNAP\x00\x02garbage"), {}}
+	return [][]byte{v2.Bytes(), v1, truncated, []byte("LTSNAP\x00\x02garbage"), {}}
 }
 
 func walSeeds(tb testing.TB) [][]byte {
@@ -89,12 +90,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 			return
 		}
 		// Accepted input: the image must re-encode and decode back to the
-		// same value. The v2 encoder may legitimately reject images that
-		// only the lenient v1 gob path can carry (e.g. non-increasing
-		// labels); those just must not panic.
+		// same value.
 		var buf bytes.Buffer
 		if err := WriteSnapshot(&buf, img); err != nil {
-			return
+			t.Fatalf("decoded snapshot does not re-encode: %v", err)
 		}
 		again, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
 		if err != nil {

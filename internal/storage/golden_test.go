@@ -1,25 +1,29 @@
 package storage_test
 
-// Golden-file back-compat: a v1 gob stream and a v2 binary snapshot of
-// the same document (with an edit history, so tombstones and maintenance
-// relabelings are baked in) are checked in under testdata/. Both must
-// keep loading forever — a failure here means a codec edit broke old
-// files. Regenerate ONLY on an intentional format rev:
+// Golden files: a v2 binary snapshot of a document with an edit history
+// (so tombstones and maintenance relabelings are baked in) is checked in
+// under testdata/ and must keep loading forever — a failure here means a
+// codec edit broke old files. Regenerate ONLY on an intentional format
+// rev:
 //
 //	go run ./internal/storage/testdata/gen
+//
+// golden-v1.gob, the same document in the retired encoding/gob format,
+// stays checked in as a must-fail fixture: a stream without the LTSNAP
+// magic is rejected as corrupt, never handed to a reflection decoder.
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	ltree "github.com/ltree-db/ltree"
 	"github.com/ltree-db/ltree/internal/storage"
 )
 
-// goldenXML is the serialized document both goldens must restore to.
+// goldenXML is the serialized document the golden must restore to.
 const goldenXML = `<site><header/><regions><asia><item id="2"><name>chair</name></item></asia></regions><people><item id="1"><name>lamp</name></item><person>alice</person><person>bob</person></people></site>`
 
 func readGolden(t *testing.T, name string) []byte {
@@ -32,58 +36,45 @@ func readGolden(t *testing.T, name string) []byte {
 }
 
 func TestGoldenSnapshotsLoad(t *testing.T) {
-	v1 := readGolden(t, "golden-v1.gob")
 	v2 := readGolden(t, "golden-v2.ltsnap")
 
-	// Codec level: both streams decode, to the same image.
-	img1, err := storage.ReadSnapshot(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 gob stream no longer decodes: %v", err)
-	}
+	// Codec level: the stream decodes, tombstones included.
 	img2, err := storage.ReadSnapshot(bytes.NewReader(v2))
 	if err != nil {
 		t.Fatalf("v2 snapshot no longer decodes: %v", err)
-	}
-	if !reflect.DeepEqual(img1, img2) {
-		t.Fatal("v1 and v2 goldens decode to different images")
 	}
 	if img2.Deleted == nil {
 		t.Fatal("golden lost its tombstones — regenerate with an edit history")
 	}
 
-	// Document level: both restore to working stores with identical
-	// labels, and the restored stores pass the full invariant suite.
-	for _, tc := range []struct {
-		name string
-		data []byte
-	}{{"v1", v1}, {"v2", v2}} {
-		st, err := ltree.Restore(bytes.NewReader(tc.data))
+	// Document level: it restores to a working store that passes the
+	// full invariant suite.
+	st, err := ltree.Restore(bytes.NewReader(v2))
+	if err != nil {
+		t.Fatalf("v2 golden no longer restores: %v", err)
+	}
+	if got := st.String(); got != goldenXML {
+		t.Fatalf("v2 golden restored wrong document:\n got %s\nwant %s", got, goldenXML)
+	}
+	if err := st.Check(); err != nil {
+		t.Fatalf("v2 golden restored an inconsistent store: %v", err)
+	}
+	// Predicate pushdown back-compat: the golden predates per-chunk
+	// attribute summaries and maxEnd fences, and the byte-stability
+	// check below pins that the snapshot format still does not carry
+	// them — they are rebuilt from the document on restore. Check()
+	// above verifies the rebuilt fences via index.Verify; a predicate
+	// query over the restored index exercises them end to end.
+	for _, q := range []struct {
+		expr string
+		want int
+	}{{"//item[@id='2']", 1}, {"//item[@id]", 2}, {"//item[@id='9']", 0}} {
+		res, err := st.Query(q.expr)
 		if err != nil {
-			t.Fatalf("%s golden no longer restores: %v", tc.name, err)
+			t.Fatalf("v2 golden: %s: %v", q.expr, err)
 		}
-		if got := st.String(); got != goldenXML {
-			t.Fatalf("%s golden restored wrong document:\n got %s\nwant %s", tc.name, got, goldenXML)
-		}
-		if err := st.Check(); err != nil {
-			t.Fatalf("%s golden restored an inconsistent store: %v", tc.name, err)
-		}
-		// Predicate pushdown back-compat: the goldens predate per-chunk
-		// attribute summaries and maxEnd fences, and the byte-stability
-		// check below pins that the snapshot format still does not carry
-		// them — they are rebuilt from the document on restore. Check()
-		// above verifies the rebuilt fences via index.Verify; a predicate
-		// query over the restored index exercises them end to end.
-		for _, q := range []struct {
-			expr string
-			want int
-		}{{"//item[@id='2']", 1}, {"//item[@id]", 2}, {"//item[@id='9']", 0}} {
-			res, err := st.Query(q.expr)
-			if err != nil {
-				t.Fatalf("%s golden: %s: %v", tc.name, q.expr, err)
-			}
-			if len(res) != q.want {
-				t.Fatalf("%s golden: %s returned %d results, want %d", tc.name, q.expr, len(res), q.want)
-			}
+		if len(res) != q.want {
+			t.Fatalf("v2 golden: %s returned %d results, want %d", q.expr, len(res), q.want)
 		}
 	}
 
@@ -96,6 +87,18 @@ func TestGoldenSnapshotsLoad(t *testing.T) {
 	}
 	if !bytes.Equal(re.Bytes(), v2) {
 		t.Fatal("v2 encoder no longer byte-stable against the golden")
+	}
+}
+
+// TestGoldenV1Rejected: the retired gob format must fail cleanly at both
+// the codec and the store seam — ErrCorrupt at the magic sniff, no panic.
+func TestGoldenV1Rejected(t *testing.T) {
+	v1 := readGolden(t, "golden-v1.gob")
+	if _, err := storage.ReadSnapshot(bytes.NewReader(v1)); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("ReadSnapshot(v1 gob) = %v, want ErrCorrupt", err)
+	}
+	if _, err := ltree.Restore(bytes.NewReader(v1)); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("Restore(v1 gob) = %v, want ErrCorrupt", err)
 	}
 }
 

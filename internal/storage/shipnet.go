@@ -933,7 +933,7 @@ func (l *remoteLease) Release() {
 	}
 }
 
-// Latest implements Backend: a request/response exchange with redial.
+// Latest implements WALBackend: a request/response exchange with redial.
 func (r *RemoteTailSource) Latest() (uint64, []byte, error) {
 	r.reqMu.Lock()
 	defer r.reqMu.Unlock()
@@ -1115,23 +1115,20 @@ func (r *RemoteTailSource) AppendBatch([]byte) (uint64, error) { return 0, ErrRe
 // Checkpoint implements WALBackend; remote sources are read-only.
 func (r *RemoteTailSource) Checkpoint([]byte) (uint64, error) { return 0, ErrRemoteReadOnly }
 
-// Put implements Backend; remote sources are read-only.
-func (r *RemoteTailSource) Put([]byte) (uint64, error) { return 0, ErrRemoteReadOnly }
-
-// Prune implements Backend; remote sources are read-only.
+// Prune implements WALBackend; remote sources are read-only.
 func (r *RemoteTailSource) Prune(uint64) error { return ErrRemoteReadOnly }
 
 // Sync implements WALBackend: a no-op — this handle never appends.
 func (r *RemoteTailSource) Sync() error { return nil }
 
-// Get implements Backend. Only the newest checkpoint crosses the wire
+// Get implements WALBackend. Only the newest checkpoint crosses the wire
 // (that is all a follower bootstrap needs); historical versions stay on
 // the leader.
 func (r *RemoteTailSource) Get(uint64) ([]byte, error) {
 	return nil, fmt.Errorf("%w: remote tail source serves only Latest", ErrNoVersion)
 }
 
-// Versions implements Backend; see Get.
+// Versions implements WALBackend; see Get.
 func (r *RemoteTailSource) Versions() ([]uint64, error) {
 	return nil, errors.New("storage: remote tail source does not enumerate versions")
 }

@@ -1,13 +1,15 @@
-// Command gen regenerates the golden back-compat snapshots in
-// internal/storage/testdata: a v1 gob stream and a v2 binary snapshot of
-// the same deterministic document (edits included, so tombstones and
-// non-trivial labels are exercised). Run from the repo root:
+// Command gen regenerates the golden back-compat snapshot in
+// internal/storage/testdata: a v2 binary snapshot of a deterministic
+// document (edits included, so tombstones and non-trivial labels are
+// exercised). Run from the repo root:
 //
 //	go run ./internal/storage/testdata/gen
 //
-// The goldens exist so future codec edits cannot silently break loading
-// of old files — regenerate them ONLY when intentionally revving the
-// format, and keep the old files loadable.
+// The golden exists so future codec edits cannot silently break loading
+// of old files — regenerate it ONLY when intentionally revving the
+// format, and keep the old file loadable. golden-v1.gob beside it is a
+// frozen must-fail fixture of the retired gob format; nothing writes it
+// any more.
 package main
 
 import (
@@ -18,7 +20,6 @@ import (
 	"path/filepath"
 
 	ltree "github.com/ltree-db/ltree"
-	"github.com/ltree-db/ltree/internal/storage"
 )
 
 func main() {
@@ -53,13 +54,6 @@ func main() {
 	if err := os.WriteFile(filepath.Join(dir, "golden-v2.ltsnap"), v2.Bytes(), 0o644); err != nil {
 		log.Fatal(err)
 	}
-	var v1 bytes.Buffer
-	if err := storage.WriteLegacySnapshot(&v1, st.Document().Image()); err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "golden-v1.gob"), v1.Bytes(), 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wrote golden-v2.ltsnap (%d bytes) and golden-v1.gob (%d bytes)\n", v2.Len(), v1.Len())
+	fmt.Printf("wrote golden-v2.ltsnap (%d bytes)\n", v2.Len())
 	fmt.Printf("document: %s\n", st.String())
 }

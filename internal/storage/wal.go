@@ -13,7 +13,7 @@ import (
 	"sync"
 )
 
-// WAL is a write-ahead-logged Backend: commits append one fsync'd framed
+// WAL is the file-backed WALBackend: commits append one fsync'd framed
 // record to a log segment instead of rewriting a snapshot, and a
 // checkpoint writes a full snapshot and truncates the log. The recovery
 // contract is graviton-style append-only durability: after any crash,
@@ -31,11 +31,10 @@ import (
 //	                    + base as uint64 LE; then framed records
 //	                    (walrecord.go).
 //
-// As a Backend, a WAL's versions are its checkpoints: Put == Checkpoint,
-// Get/Latest/Versions/Prune address checkpoint snapshots. Because a
-// checkpoint's version is the sequence number it covers, two checkpoints
-// with no batches between them share a version (same state, same number)
-// — the only departure from the plain backends' strictly-growing Put.
+// A WAL's versions are its checkpoints: Get/Latest/Versions/Prune
+// address checkpoint snapshots. Because a checkpoint's version is the
+// sequence number it covers, two checkpoints with no batches between
+// them share a version (same state, same number).
 type WAL struct {
 	mu       sync.Mutex
 	dir      string
@@ -923,12 +922,9 @@ func (w *WAL) RetentionStats() RetentionStats {
 	return rs
 }
 
-// ---------------------------------------------------------------- Backend
+// ------------------------------------------------------ checkpoint reads
 
-// Put implements Backend: for a WAL, storing a snapshot is a checkpoint.
-func (w *WAL) Put(data []byte) (uint64, error) { return w.Checkpoint(data) }
-
-// Get implements Backend over checkpoint snapshots. A checkpoint missing
+// Get implements WALBackend over checkpoint snapshots. A checkpoint missing
 // locally (pruned after upload) is fetched back from the blob tier.
 func (w *WAL) Get(version uint64) ([]byte, error) {
 	data, err := os.ReadFile(w.ckptPath(version))
@@ -966,7 +962,7 @@ func (w *WAL) checkpointVersions() ([]uint64, error) {
 	return cks, nil
 }
 
-// Latest implements Backend: the newest checkpoint snapshot. Batches
+// Latest implements WALBackend: the newest checkpoint snapshot. Batches
 // appended after it are not reflected — recovery is Latest + ReplaySince
 // (the Store's LoadLatest does exactly that for WAL backends).
 func (w *WAL) Latest() (uint64, []byte, error) {
@@ -982,11 +978,11 @@ func (w *WAL) Latest() (uint64, []byte, error) {
 	return v, data, err
 }
 
-// Versions implements Backend: the checkpoint versions, ascending —
+// Versions implements WALBackend: the checkpoint versions, ascending —
 // blob-tier checkpoints included.
 func (w *WAL) Versions() ([]uint64, error) { return w.checkpointVersions() }
 
-// Prune implements Backend: drops LOCAL checkpoints strictly below keep,
+// Prune implements WALBackend: drops LOCAL checkpoints strictly below keep,
 // always retaining the newest one (the log after it is the live tail).
 // Blob-tier copies are untouched — the tier's history is bottomless by
 // design, so a pruned version stays addressable through Get.

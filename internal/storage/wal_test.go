@@ -133,7 +133,7 @@ func TestWALBackendVersions(t *testing.T) {
 	if _, _, err := w.Latest(); !errors.Is(err, ErrNoVersion) {
 		t.Fatalf("Latest on empty WAL: %v, want ErrNoVersion", err)
 	}
-	if _, err := w.Put([]byte("base")); err != nil { // Put == Checkpoint
+	if _, err := w.Checkpoint([]byte("base")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.AppendBatch(payloadN(1)); err != nil {

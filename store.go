@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"sync"
 
@@ -64,8 +65,8 @@ type Store struct {
 	bump    chan struct{}
 }
 
-// walPolicy is the auto-checkpoint configuration attached by WithWAL
-// options. The zero value disables auto-checkpointing.
+// walPolicy is the auto-checkpoint configuration attached by WithWAL or
+// LoadLatest options. The zero value disables auto-checkpointing.
 type walPolicy struct {
 	maxBytes   int64
 	maxRecords int
@@ -79,8 +80,24 @@ func (p walPolicy) exceeded(bytes int64, records int) bool {
 		(p.maxRecords > 0 && records >= p.maxRecords)
 }
 
-// WALOption configures WithWAL.
+// WALOption configures the store side of a WAL attachment (WithWAL, or
+// LoadLatest recovering one).
 type WALOption func(*walPolicy)
+
+// newWALPolicy folds the options into the policy a store attached to w
+// will run, rejecting a policy the backend cannot serve.
+func newWALPolicy(w WALBackend, opts []WALOption) (walPolicy, error) {
+	var pol walPolicy
+	for _, opt := range opts {
+		opt(&pol)
+	}
+	if pol.enabled() {
+		if _, ok := w.(liveLogger); !ok {
+			return pol, errors.New("ltree: AutoCheckpoint needs a backend that reports its live log size (LiveLog)")
+		}
+	}
+	return pol, nil
+}
 
 // AutoCheckpoint makes the store checkpoint automatically: after a commit
 // is appended, if the live log (records since the last checkpoint) has
@@ -88,7 +105,9 @@ type WALOption func(*walPolicy)
 // Checkpoint — snapshotting the store and truncating the log — before
 // returning. Either threshold can be 0 to disable it; auto-checkpointing
 // is off entirely by default. The backend must report its live log size
-// (the built-in WAL does); WithWAL rejects the option otherwise.
+// (the built-in WAL does); WithWAL and LoadLatest reject the option
+// otherwise. The policy is per-open configuration, not logged state:
+// pass it again to LoadLatest when recovering.
 func AutoCheckpoint(maxBytes int64, maxRecords int) WALOption {
 	return func(p *walPolicy) {
 		p.maxBytes = maxBytes
@@ -216,7 +235,7 @@ func (s *Store) maybeAutoCheckpointLocked() error {
 	}
 	ll, ok := s.wal.(liveLogger)
 	if !ok {
-		return nil // WithWAL rejects this pairing; defensive
+		return nil // newWALPolicy rejects this pairing; defensive
 	}
 	bytes, records := ll.LiveLog()
 	if !s.walPolicy.exceeded(bytes, records) {
@@ -349,8 +368,8 @@ func (s *Store) Elements(tag string) []*Elem {
 // A Batch is not a transaction: an error from fn rolls nothing back —
 // the commit still publishes (and, with a WAL attached, logs) whatever fn
 // changed, keeping the index and the log in sync with the document.
-// Callers needing rollback should SaveVersion first and LoadVersion on
-// failure.
+// Callers needing rollback should Snapshot (or, on a WAL-backed store,
+// Checkpoint) first and Restore (or LoadAt that checkpoint) on failure.
 func (s *Store) Update(fn func(*Batch) error) (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -516,10 +535,24 @@ func (s *Store) snapshotLocked(w io.Writer) error {
 // equal index content; see DESIGN.md §10.
 func (s *Store) RootHash() Hash { return s.vers.Current().Ix.RootHash() }
 
-// Restore reconstructs a Store from a Snapshot stream (format v2 or the
-// legacy v1 gob format).
+// Restore reconstructs a Store from a Snapshot stream. A stream that is
+// not a snapshot (no LTSNAP magic) fails with storage.ErrCorrupt; one
+// whose stamped index root does not match the restored document fails
+// with ErrReplicaDiverged.
 func Restore(r io.Reader) (*Store, error) {
-	doc, err := document.Restore(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return restoreStore(data)
+}
+
+// restoreStore is the one way snapshot bytes become a Store — a Snapshot
+// stream, a WAL or blob-tier checkpoint, a follower bootstrap: decode the
+// document, build and publish its index, and check that index against
+// the root hash the writer stamped.
+func restoreStore(data []byte) (*Store, error) {
+	doc, err := document.Restore(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
@@ -535,8 +568,8 @@ func Restore(r io.Reader) (*Store, error) {
 // A mismatch means the snapshot bytes don't describe the state the
 // writer thought it saved — bit rot, a torn copy a CRC missed, or a
 // labeling bug — and surfaces as ErrReplicaDiverged instead of a store
-// that silently answers queries from corrupt state. Unstamped (v1 or
-// pre-hash) snapshots pass vacuously.
+// that silently answers queries from corrupt state. Unstamped (pre-hash)
+// snapshots pass vacuously.
 func (s *Store) verifyRestoredRoot() error {
 	want, ok := s.doc.RestoredIndexRoot()
 	if !ok {
@@ -549,21 +582,10 @@ func (s *Store) verifyRestoredRoot() error {
 	return nil
 }
 
-// Backend is a versioned snapshot store: every save appends a new
-// version, old versions stay readable until pruned. See DESIGN.md §5.3.
-type Backend = storage.Backend
-
-// NewMemoryBackend returns an in-process Backend (tests, ephemeral
-// stores).
-func NewMemoryBackend() Backend { return storage.NewMemory() }
-
-// NewFileBackend opens (creating if needed) a directory-backed Backend:
-// one file per version, crash-safe writes.
-func NewFileBackend(dir string) (Backend, error) { return storage.NewFile(dir) }
-
-// WALBackend is a write-ahead-logged Backend: commits append one framed,
-// CRC-checked, fsync'd record per batch instead of rewriting a snapshot;
-// a checkpoint writes a snapshot and truncates the log. See DESIGN.md §6.
+// WALBackend is the persistence backend: commits append one framed,
+// CRC-checked, fsync'd record per batch to a write-ahead log; a
+// checkpoint writes a snapshot and truncates the log; its versions are
+// its checkpoints. See DESIGN.md §6.
 type WALBackend = storage.WALBackend
 
 // WALOptions tunes a WAL backend (group-commit sync cadence).
@@ -601,14 +623,9 @@ func (s *Store) WithWAL(w WALBackend, opts ...WALOption) error {
 	if s.wal != nil {
 		return errors.New("ltree: store already has a WAL attached")
 	}
-	var pol walPolicy
-	for _, opt := range opts {
-		opt(&pol)
-	}
-	if pol.enabled() {
-		if _, ok := w.(liveLogger); !ok {
-			return errors.New("ltree: AutoCheckpoint needs a backend that reports its live log size (LiveLog)")
-		}
+	pol, err := newWALPolicy(w, opts)
+	if err != nil {
+		return err
 	}
 	if _, _, err := w.Latest(); err == nil {
 		return errors.New("ltree: WAL already holds a checkpoint; recover it with LoadLatest")
@@ -716,8 +733,7 @@ func (s *Store) checkpointLocked() (uint64, error) {
 // When the batch carries the writer's root-hash stamp, the recomputed
 // index root must match it — the O(changed-chunks) integrity check
 // that replaces the test-only full-fingerprint oracle in production.
-// Caller holds the write lock (or owns the store exclusively, as during
-// load).
+// Caller holds the write lock.
 func (s *Store) applyShippedLocked(payload []byte) error {
 	info, err := s.doc.ApplyPayload(payload)
 	if err != nil {
@@ -739,66 +755,60 @@ func (s *Store) applyShippedLocked(payload []byte) error {
 	return nil
 }
 
-// loadWAL recovers a store from a WAL backend: newest checkpoint plus a
-// replay of the durable log tail. The WAL stays attached — subsequent
-// commits keep appending where the log left off.
-func loadWAL(w WALBackend) (*Store, error) {
+// replayTail applies the durable batches that replay streams after since
+// — up to and including upTo — onto s, and returns the sequence number
+// of the last batch applied. It is the one replay loop recovery, LoadAt
+// and the follower drains share: every batch goes through
+// applyShippedLocked under the write lock, so labels are verified
+// bit-for-bit, one index version publishes per batch, and a stamped root
+// must match.
+func (s *Store) replayTail(replay func(since uint64, fn func(seq uint64, payload []byte) error) error, since, upTo uint64) (uint64, error) {
+	reached := since
+	err := replay(since, func(seq uint64, payload []byte) error {
+		if seq > upTo {
+			return errStopReplay
+		}
+		s.mu.Lock()
+		err := s.applyShippedLocked(payload)
+		s.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("batch %d: %w", seq, err)
+		}
+		reached = seq
+		return nil
+	})
+	if errors.Is(err, errStopReplay) {
+		err = nil
+	}
+	return reached, err
+}
+
+// LoadLatest recovers a Store from a WAL backend: the newest checkpoint
+// plus a replay of the durable log tail (torn or corrupt tail records are
+// discarded). The WAL stays attached — subsequent commits keep appending
+// where the log left off — and opts configure the attachment exactly as
+// they do for WithWAL (see AutoCheckpoint). An empty backend reports
+// ErrNoVersion: seed a store and attach it with WithWAL instead.
+func LoadLatest(w WALBackend, opts ...WALOption) (*Store, error) {
+	pol, err := newWALPolicy(w, opts)
+	if err != nil {
+		return nil, err
+	}
 	seq, data, err := w.Latest()
 	if err != nil {
 		return nil, err
 	}
-	doc, err := document.Restore(bytes.NewReader(data))
+	s, err := restoreStore(data)
 	if err != nil {
-		return nil, err
-	}
-	s := newStore(doc)
-	if err := s.verifyRestoredRoot(); err != nil {
 		return nil, err
 	}
 	s.doc.TrackOps()
-	if err := w.ReplaySince(seq, func(_ uint64, payload []byte) error {
-		return s.applyShippedLocked(payload)
-	}); err != nil {
+	if _, err := s.replayTail(w.ReplaySince, seq, math.MaxUint64); err != nil {
 		return nil, fmt.Errorf("ltree: wal replay: %w", err)
 	}
 	s.wal = w
+	s.walPolicy = pol
 	return s, nil
-}
-
-// SaveVersion snapshots the store into a storage backend as the next
-// version and returns its number. Old versions stay readable until
-// pruned, so a mis-applied batch can be rolled back by loading an
-// earlier version.
-func (s *Store) SaveVersion(b Backend) (uint64, error) {
-	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
-		return 0, err
-	}
-	return b.Put(buf.Bytes())
-}
-
-// LoadVersion reconstructs a Store from one stored snapshot version.
-func LoadVersion(b Backend, version uint64) (*Store, error) {
-	data, err := b.Get(version)
-	if err != nil {
-		return nil, err
-	}
-	return Restore(bytes.NewReader(data))
-}
-
-// LoadLatest reconstructs a Store from the newest stored snapshot. For a
-// WAL backend this is crash recovery: the newest checkpoint plus a replay
-// of the durable log tail (torn or corrupt tail records are discarded),
-// and the WAL stays attached so commits keep appending.
-func LoadLatest(b Backend) (*Store, error) {
-	if w, ok := b.(WALBackend); ok {
-		return loadWAL(w)
-	}
-	_, data, err := b.Latest()
-	if err != nil {
-		return nil, err
-	}
-	return Restore(bytes.NewReader(data))
 }
 
 // Compact rebuilds the label tree without tombstones (extension; see

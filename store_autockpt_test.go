@@ -137,3 +137,67 @@ func TestAutoCheckpointOffByDefault(t *testing.T) {
 		t.Fatalf("live log holds %d records, want 10 (no auto-checkpoint by default)", n)
 	}
 }
+
+// TestAutoCheckpointSurvivesRecovery: the policy is per-open
+// configuration, so LoadLatest takes the same option WithWAL does — a
+// recovered store handed it keeps checkpointing; without the option on
+// recovery the checkpoint list would stay frozen forever.
+func TestAutoCheckpointSurvivesRecovery(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	w, err := NewWALBackend(dir, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenString(`<r><a/></r>`, DefaultParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WithWAL(w, AutoCheckpoint(0, 4)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := st.InsertElement(st.Root(), 0, "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	w, err = NewWALBackend(dir, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	rec, err := LoadLatest(w, AutoCheckpoint(0, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := w.Versions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ { // 2 recovered + 6 new: past the threshold
+		if _, err := rec.InsertElement(rec.Root(), 0, "y"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, err := w.Versions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) <= len(before) {
+		t.Fatalf("recovered store never checkpointed: versions %v before, %v after", before, after)
+	}
+	if _, records := w.(liveLogger).LiveLog(); records >= 4 {
+		t.Fatalf("live log holds %d records after recovery + commits, want < 4", records)
+	}
+
+	// The option is validated on recovery exactly as on attach.
+	if _, err := LoadLatest(noLiveLog{w}, AutoCheckpoint(0, 4)); err == nil {
+		t.Fatal("LoadLatest accepted AutoCheckpoint on a backend without LiveLog")
+	}
+}
+
+// noLiveLog hides the backend's LiveLog capability.
+type noLiveLog struct{ WALBackend }

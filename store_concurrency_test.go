@@ -2,13 +2,13 @@ package ltree
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"github.com/ltree-db/ltree/internal/storage"
 	"github.com/ltree-db/ltree/internal/workload"
 )
 
@@ -236,44 +236,55 @@ func TestStoreIncrementalIndex(t *testing.T) {
 	}
 }
 
-// TestStoreVersionedBackend round-trips through the memory and file
-// backends and rolls back to an earlier version.
+// TestStoreVersionedBackend: a WAL backend's checkpoints are retained
+// versions — Checkpoint before a batch, LoadAt that version to roll back,
+// LoadLatest for the newest state.
 func TestStoreVersionedBackend(t *testing.T) {
-	for name, b := range storageBackends(t) {
-		t.Run(name, func(t *testing.T) {
-			st, err := OpenString(`<r><a/></r>`, DefaultParams)
-			if err != nil {
-				t.Fatal(err)
-			}
-			v1, err := st.SaveVersion(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := st.InsertElement(st.Root(), 0, "later"); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := st.SaveVersion(b); err != nil {
-				t.Fatal(err)
-			}
+	w, err := NewWALBackend(t.TempDir(), WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	st, err := OpenString(`<r><a/></r>`, DefaultParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WithWAL(w); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.InsertElement(st.Root(), 0, "earlier"); err != nil {
+		t.Fatal(err)
+	}
+	v1, err := st.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.InsertElement(st.Root(), 0, "later"); err != nil {
+		t.Fatal(err)
+	}
 
-			latest, err := LoadLatest(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, _ := latest.Query("//later"); len(got) != 1 {
-				t.Fatal("latest version missing the second write")
-			}
-			old, err := LoadVersion(b, v1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, _ := old.Query("//later"); len(got) != 0 {
-				t.Fatal("rollback version leaked the second write")
-			}
-			if err := old.Check(); err != nil {
-				t.Fatal(err)
-			}
-		})
+	latest, err := LoadLatest(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := latest.Query("//later"); len(got) != 1 {
+		t.Fatal("latest state missing the second write")
+	}
+	old, err := LoadAt(w, v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := old.Query("//earlier"); len(got) != 1 {
+		t.Fatal("rollback version lost the checkpointed write")
+	}
+	if got, _ := old.Query("//later"); len(got) != 0 {
+		t.Fatal("rollback version leaked the second write")
+	}
+	if err := old.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadAt(w, v1+2); !errors.Is(err, ErrNoVersion) {
+		t.Fatalf("LoadAt past the durable end = %v, want ErrNoVersion", err)
 	}
 }
 
@@ -295,10 +306,8 @@ func TestStoreRefresh(t *testing.T) {
 	}
 }
 
-// TestStoreSnapshotV1Era: a store restored from bytes written by this
-// version can itself restore bytes written long ago (the v1 fixture is
-// exercised at the document layer; here we check the facade round trip
-// stays self-consistent across formats).
+// TestStoreSnapshotFormatStability: snapshot bytes survive a restore
+// cycle unchanged — the facade round trip is self-consistent.
 func TestStoreSnapshotFormatStability(t *testing.T) {
 	st, err := OpenString(`<r><a>t</a></r>`, DefaultParams)
 	if err != nil {
@@ -319,14 +328,4 @@ func TestStoreSnapshotFormatStability(t *testing.T) {
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Fatal("snapshot bytes not stable across a restore cycle")
 	}
-}
-
-// storageBackends returns one of each backend flavor for facade tests.
-func storageBackends(t *testing.T) map[string]storage.Backend {
-	t.Helper()
-	file, err := storage.NewFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]storage.Backend{"memory": storage.NewMemory(), "file": file}
 }
