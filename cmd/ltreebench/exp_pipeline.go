@@ -192,8 +192,9 @@ func pipelinePath(depth int, last string) string {
 // bytes allocated per run). TotalAlloc is monotonic, so the delta is
 // unaffected by GC; the explicit GC beforehand settles the heap so
 // neither evaluator pays the other's garbage. One warmup run keeps
-// per-index-version one-time work (the cached "*" flatten a rooted
-// anchor touches) out of the per-query numbers.
+// first-touch costs (cold caches, lazily grown runtime state) out of the
+// per-query numbers; a rooted anchor has no per-version work left to
+// amortize, since the "*" stream it reads is a lazy merge of tag cursors.
 func measureEval(iters int, fn func()) (nsPerOp, bytesPerOp float64) {
 	fn()
 	runtime.GC()

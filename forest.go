@@ -598,7 +598,7 @@ func (f *Forest) scatterCollect(build func(i int) *Results) []*Elem {
 }
 
 // mergeEntryParts merges begin-sorted entry runs into one element slice
-// in (begin, part) order — the materialized counterpart of query.Merge,
+// in (begin, part) order — the materialized counterpart of document.Merge,
 // used where every entry is already in memory: a k-wide min scan per
 // output with no interface calls, so the merge costs a few ns per
 // element instead of a cursor dispatch chain.

@@ -1,12 +1,13 @@
-package query
+package document
 
-import "github.com/ltree-db/ltree/internal/document"
-
-// This file is the k-way merge cursor: the scatter-gather primitive the
-// forest layer builds on. Each branch is an independent begin-sorted
-// cursor (typically one shard's query pipeline); the merge is itself a
-// begin-sorted cursor, so a fanned-out query composes with everything
-// else that consumes cursors — Collect, range adapters, or another merge.
+// This file is the k-way merge cursor, the repo's one merge. It serves
+// two callers: the chunked index's "*" stream (one branch per tag — label
+// order is document order, so every element in document order is the
+// merge of the begin-sorted tag runs) and the forest's scatter-gather
+// reads (one branch per shard's query pipeline). Each branch is an
+// independent begin-sorted cursor; the merge is itself a begin-sorted
+// cursor, so it composes with everything else that consumes cursors —
+// Collect, range adapters, or another merge.
 // Intermediate memory is one buffered head per branch, independent of how
 // many entries any branch produces, and a Seek pushes down into every
 // branch so cold regions are skipped with each branch's own fence
@@ -27,8 +28,8 @@ import "github.com/ltree-db/ltree/internal/document"
 // because every buffered head already sits at or past the last yielded
 // entry. Like its branches, the merged cursor is single-use and not safe
 // for concurrent use.
-func Merge(branches ...document.Cursor) document.Cursor {
-	live := make([]document.Cursor, 0, len(branches))
+func Merge(branches ...Cursor) Cursor {
+	live := make([]Cursor, 0, len(branches))
 	for _, b := range branches {
 		if b != nil {
 			live = append(live, b)
@@ -36,15 +37,15 @@ func Merge(branches ...document.Cursor) document.Cursor {
 	}
 	switch len(live) {
 	case 0:
-		return emptyCursor{}
+		return NewSliceCursor(nil)
 	case 1:
 		return live[0]
 	}
-	// Small fan-outs (the common case: one branch per forest shard) pay
-	// less for a linear min-scan than for heap maintenance — no sift
-	// swaps, no head copies, refill overwrites one slot in place. The
+	// Small fan-outs (one branch per forest shard, or a document with few
+	// tags) pay less for a linear min-scan than for heap maintenance — no
+	// sift swaps, no head copies, refill overwrites one slot in place. The
 	// crossover sits past any realistic shard count; the heap covers the
-	// long tail.
+	// long tail, such as the "*" stream of a many-tag document.
 	if len(live) <= linearMergeMax {
 		return &linearMergeCursor{branches: live}
 	}
@@ -69,12 +70,12 @@ func headLess(a, b mergeHead) bool {
 // per-branch heads, min found by linear scan. Same contract and same
 // (begin, branch) order as mergeCursor.
 type linearMergeCursor struct {
-	branches []document.Cursor
+	branches []Cursor
 	heads    []mergeHead
 	started  bool
 }
 
-func (m *linearMergeCursor) prime(pull func(document.Cursor) (document.Entry, bool)) {
+func (m *linearMergeCursor) prime(pull func(Cursor) (Entry, bool)) {
 	m.started = true
 	for i, b := range m.branches {
 		if e, ok := pull(b); ok {
@@ -83,12 +84,12 @@ func (m *linearMergeCursor) prime(pull func(document.Cursor) (document.Entry, bo
 	}
 }
 
-func (m *linearMergeCursor) Next() (document.Entry, bool) {
+func (m *linearMergeCursor) Next() (Entry, bool) {
 	if !m.started {
-		m.prime(func(b document.Cursor) (document.Entry, bool) { return b.Next() })
+		m.prime(func(b Cursor) (Entry, bool) { return b.Next() })
 	}
 	if len(m.heads) == 0 {
-		return document.Entry{}, false
+		return Entry{}, false
 	}
 	min := 0
 	for i := 1; i < len(m.heads); i++ {
@@ -109,9 +110,9 @@ func (m *linearMergeCursor) Next() (document.Entry, bool) {
 
 // Seek forwards the target into every branch that is behind it, exactly
 // like the heap variant; surviving heads stay unordered.
-func (m *linearMergeCursor) Seek(begin uint64) (document.Entry, bool) {
+func (m *linearMergeCursor) Seek(begin uint64) (Entry, bool) {
 	if !m.started {
-		m.prime(func(b document.Cursor) (document.Entry, bool) { return b.Seek(begin) })
+		m.prime(func(b Cursor) (Entry, bool) { return b.Seek(begin) })
 		return m.Next()
 	}
 	kept := m.heads[:0]
@@ -130,7 +131,7 @@ func (m *linearMergeCursor) Seek(begin uint64) (document.Entry, bool) {
 
 // mergeHead is one branch's buffered entry in the heap.
 type mergeHead struct {
-	e      document.Entry
+	e      Entry
 	branch int // index into branches; the tie-break keeps merges deterministic
 }
 
@@ -138,7 +139,7 @@ type mergeHead struct {
 // ordered by (Label.Begin, branch). Exhausted branches leave the heap;
 // the cursor is exhausted when the heap empties.
 type mergeCursor struct {
-	branches []document.Cursor
+	branches []Cursor
 	heap     []mergeHead
 	started  bool
 }
@@ -156,12 +157,12 @@ func (m *mergeCursor) start() {
 	}
 }
 
-func (m *mergeCursor) Next() (document.Entry, bool) {
+func (m *mergeCursor) Next() (Entry, bool) {
 	if !m.started {
 		m.start()
 	}
 	if len(m.heap) == 0 {
-		return document.Entry{}, false
+		return Entry{}, false
 	}
 	top := m.heap[0]
 	m.refill(top.branch)
@@ -173,7 +174,7 @@ func (m *mergeCursor) Next() (document.Entry, bool) {
 // re-heapified. Branches whose buffered head already satisfies the target
 // are left untouched (their cursor position must not be disturbed — the
 // head is not yet consumed).
-func (m *mergeCursor) Seek(begin uint64) (document.Entry, bool) {
+func (m *mergeCursor) Seek(begin uint64) (Entry, bool) {
 	if !m.started {
 		// Prime lazily but through each branch's Seek, not Next: the very
 		// first pull already skips to the target on every branch.

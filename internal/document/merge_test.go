@@ -1,18 +1,16 @@
-package query
+package document
 
 import (
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
-
-	"github.com/ltree-db/ltree/internal/document"
 )
 
 // randomBranches builds k begin-sorted entry slices with begins drawn
 // from a shared space, so branches interleave, tie, and leave gaps.
-func randomBranches(rng *rand.Rand, k, maxLen int) [][]document.Entry {
-	out := make([][]document.Entry, k)
+func randomBranches(rng *rand.Rand, k, maxLen int) [][]Entry {
+	out := make([][]Entry, k)
 	for i := range out {
 		n := rng.Intn(maxLen + 1)
 		begins := make([]uint64, n)
@@ -20,9 +18,9 @@ func randomBranches(rng *rand.Rand, k, maxLen int) [][]document.Entry {
 			begins[j] = uint64(rng.Intn(4 * maxLen))
 		}
 		sort.Slice(begins, func(a, b int) bool { return begins[a] < begins[b] })
-		es := make([]document.Entry, n)
+		es := make([]Entry, n)
 		for j, b := range begins {
-			es[j] = document.Entry{Label: document.Label{Begin: b, End: b + 1 + uint64(rng.Intn(16))}}
+			es[j] = Entry{Label: Label{Begin: b, End: b + 1 + uint64(rng.Intn(16))}}
 		}
 		out[i] = es
 	}
@@ -31,9 +29,9 @@ func randomBranches(rng *rand.Rand, k, maxLen int) [][]document.Entry {
 
 // mergeOracle is the reference: concatenate, stable-sort by (begin,
 // branch) — exactly the order Merge promises.
-func mergeOracle(branches [][]document.Entry) []document.Entry {
+func mergeOracle(branches [][]Entry) []Entry {
 	type tagged struct {
-		e      document.Entry
+		e      Entry
 		branch int
 	}
 	var all []tagged
@@ -48,17 +46,17 @@ func mergeOracle(branches [][]document.Entry) []document.Entry {
 		}
 		return all[a].branch < all[b].branch
 	})
-	out := make([]document.Entry, len(all))
+	out := make([]Entry, len(all))
 	for i, t := range all {
 		out[i] = t.e
 	}
 	return out
 }
 
-func cursorsOf(branches [][]document.Entry) []document.Cursor {
-	curs := make([]document.Cursor, len(branches))
+func cursorsOf(branches [][]Entry) []Cursor {
+	curs := make([]Cursor, len(branches))
 	for i, es := range branches {
-		curs[i] = document.NewSliceCursor(es)
+		curs[i] = NewSliceCursor(es)
 	}
 	return curs
 }
@@ -68,7 +66,7 @@ func TestMergeDrainMatchesOracle(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		k := 1 + rng.Intn(12) // spans both the linear-scan and heap variants
 		branches := randomBranches(rng, k, 40)
-		got := document.DrainCursor(Merge(cursorsOf(branches)...))
+		got := DrainCursor(Merge(cursorsOf(branches)...))
 		want := mergeOracle(branches)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: drained %d entries, want %d", trial, len(got), len(want))
@@ -135,7 +133,7 @@ func TestMergeDegenerate(t *testing.T) {
 	if _, ok := Merge().Next(); ok {
 		t.Fatal("empty merge yielded an entry")
 	}
-	empty := Merge(document.NewSliceCursor(nil), document.NewSliceCursor(nil))
+	empty := Merge(NewSliceCursor(nil), NewSliceCursor(nil))
 	if _, ok := empty.Next(); ok {
 		t.Fatal("merge of empty branches yielded an entry")
 	}
@@ -143,18 +141,18 @@ func TestMergeDegenerate(t *testing.T) {
 		t.Fatal("Seek on exhausted merge yielded an entry")
 	}
 	// One branch: passthrough, byte-for-byte.
-	es := []document.Entry{
-		{Label: document.Label{Begin: 1, End: 10}},
-		{Label: document.Label{Begin: 3, End: 4}},
+	es := []Entry{
+		{Label: Label{Begin: 1, End: 10}},
+		{Label: Label{Begin: 3, End: 4}},
 	}
-	one := Merge(document.NewSliceCursor(es))
-	got := document.DrainCursor(one)
+	one := Merge(NewSliceCursor(es))
+	got := DrainCursor(one)
 	if len(got) != 2 || got[0].Label != es[0].Label || got[1].Label != es[1].Label {
 		t.Fatalf("single-branch merge = %+v", got)
 	}
 	// Nil branches are dropped, not dereferenced.
-	mixed := Merge(nil, document.NewSliceCursor(es), nil)
-	if got := document.DrainCursor(mixed); len(got) != 2 {
+	mixed := Merge(nil, NewSliceCursor(es), nil)
+	if got := DrainCursor(mixed); len(got) != 2 {
 		t.Fatalf("nil-branch merge drained %d entries, want 2", len(got))
 	}
 }
@@ -162,9 +160,9 @@ func TestMergeDegenerate(t *testing.T) {
 // TestMergeSeekBeforeFirstPull pins the lazy-start path: a Seek issued
 // before any Next must prime every branch through its own Seek.
 func TestMergeSeekBeforeFirstPull(t *testing.T) {
-	branches := [][]document.Entry{
-		{{Label: document.Label{Begin: 1, End: 2}}, {Label: document.Label{Begin: 50, End: 51}}},
-		{{Label: document.Label{Begin: 2, End: 3}}, {Label: document.Label{Begin: 40, End: 41}}},
+	branches := [][]Entry{
+		{{Label: Label{Begin: 1, End: 2}}, {Label: Label{Begin: 50, End: 51}}},
+		{{Label: Label{Begin: 2, End: 3}}, {Label: Label{Begin: 40, End: 41}}},
 	}
 	cur := Merge(cursorsOf(branches)...)
 	e, ok := cur.Seek(10)
@@ -179,10 +177,10 @@ func TestMergeSeekBeforeFirstPull(t *testing.T) {
 
 // TestMergeTieBreakDeterministic pins the branch-order tie-break.
 func TestMergeTieBreakDeterministic(t *testing.T) {
-	a := []document.Entry{{Label: document.Label{Begin: 5, End: 6}}}
-	b := []document.Entry{{Label: document.Label{Begin: 5, End: 9}}}
+	a := []Entry{{Label: Label{Begin: 5, End: 6}}}
+	b := []Entry{{Label: Label{Begin: 5, End: 9}}}
 	for trial := 0; trial < 3; trial++ {
-		cur := Merge(document.NewSliceCursor(a), document.NewSliceCursor(b))
+		cur := Merge(NewSliceCursor(a), NewSliceCursor(b))
 		first, _ := cur.Next()
 		second, _ := cur.Next()
 		if first.Label.End != 6 || second.Label.End != 9 {

@@ -162,18 +162,6 @@ func (p *postings) flatten() []document.Entry {
 	return out
 }
 
-// appendTo appends every entry to dst (an allocation-free flatten step
-// for the all-elements merge).
-func (p *postings) appendTo(dst []document.Entry) []document.Entry {
-	if p == nil {
-		return dst
-	}
-	for _, c := range p.chunks {
-		dst = append(dst, c.entries...)
-	}
-	return dst
-}
-
 // mergeUnderflow re-balances a patched directory: a chunk that shrank
 // below size/4 absorbs following chunks (or, at the tail, its
 // predecessor) until the run reaches the floor again, then re-splits

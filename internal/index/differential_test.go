@@ -3,10 +3,13 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"github.com/ltree-db/ltree/internal/document"
+	"github.com/ltree-db/ltree/internal/query"
+	"github.com/ltree-db/ltree/internal/workload"
 	"github.com/ltree-db/ltree/internal/xmldom"
 )
 
@@ -111,9 +114,11 @@ func TestDifferentialChunkedVsFlat(t *testing.T) {
 }
 
 // TestAllCursorGlobalOrder is the "*" property test: across versions,
-// the flattened wildcard cursor must yield every element exactly once in
+// the merged wildcard cursor must yield every element exactly once in
 // strictly increasing begin order — global document order — and agree
-// with a ground-truth rebuild.
+// with a ground-truth rebuild's "*" cursor on full drains, on random
+// Next/Seek interleavings, and on query.DescendantsCursor ranges (whose
+// Seek fans out to every tag's fence search).
 func TestAllCursorGlobalOrder(t *testing.T) {
 	tags := []string{"a", "b", "c", "d"}
 	d := loadTracked(t, `<r><a/><b/></r>`)
@@ -129,9 +134,9 @@ func TestAllCursorGlobalOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := d.BuildTagIndex().Postings("*")
-		cur := ix.Cursor("*")
-		got := document.DrainCursor(cur)
+		oracle := d.BuildTagIndex()
+		want := document.DrainCursor(oracle.Cursor("*"))
+		got := document.DrainCursor(ix.Cursor("*"))
 		if len(got) != len(want) {
 			t.Fatalf("round %d: \"*\" cursor drained %d entries, want %d", round, len(got), len(want))
 		}
@@ -143,6 +148,89 @@ func TestAllCursorGlobalOrder(t *testing.T) {
 				t.Fatalf("round %d: \"*\" entry %d out of global order", round, i)
 			}
 		}
+
+		// Random Next/Seek interleavings, lock-step against the oracle;
+		// Seek targets land ahead of, on and behind the current position.
+		maxBegin := want[len(want)-1].Label.Begin
+		for trial := 0; trial < 4; trial++ {
+			sameSteps(t, fmt.Sprintf("round %d trial %d", round, trial), rng,
+				ix.Cursor("*"), oracle.Cursor("*"), maxBegin+2)
+		}
+
+		// Subtree ranges: the rangeCursor over the merged stream.
+		for trial := 0; trial < 3; trial++ {
+			anchor := want[rng.Intn(len(want))]
+			sameSteps(t, fmt.Sprintf("round %d descendants of %d", round, anchor.Label.Begin), rng,
+				query.DescendantsCursor(ix, anchor), query.DescendantsCursor(oracle, anchor), maxBegin+2)
+		}
+	}
+}
+
+// sameSteps drives two cursors with one random Next/Seek sequence (Seek
+// targets drawn from [0, span)) and fails on the first step where they
+// disagree; it stops once both are exhausted.
+func sameSteps(t *testing.T, what string, rng *rand.Rand, got, want document.Cursor, span uint64) {
+	t.Helper()
+	for step := 0; ; step++ {
+		var g, w document.Entry
+		var gok, wok bool
+		op := "Next"
+		if rng.Intn(3) == 0 {
+			target := uint64(rng.Int63n(int64(span)))
+			op = fmt.Sprintf("Seek(%d)", target)
+			g, gok = got.Seek(target)
+			w, wok = want.Seek(target)
+		} else {
+			g, gok = got.Next()
+			w, wok = want.Next()
+		}
+		if gok != wok || g.Node != w.Node || g.Label != w.Label {
+			t.Fatalf("%s step %d: %s = %v/%v, want %v/%v", what, step, op, g.Label, gok, w.Label, wok)
+		}
+		if !wok {
+			return
+		}
+	}
+}
+
+// TestFreshVersionWildcardReadIsSublinear guards the fresh-version read
+// cliff: the first "*" pull on a version nobody has read yet — what every
+// rooted query on a follower does — must cost one head per tag, not a
+// flatten and sort of the whole document (32 B per element of garbage,
+// well over a megabyte here).
+func TestFreshVersionWildcardReadIsSublinear(t *testing.T) {
+	d, err := document.Load(workload.XMarkLite(650, 1), p82)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.TrackChanges()
+	ix := Build(d)
+	if n := ix.Len(); n < 50000 {
+		t.Fatalf("document has %d elements, want at least 50000", n)
+	}
+	const budget = 64 << 10
+	best := uint64(1 << 62)
+	for attempt := 0; attempt < 3; attempt++ {
+		if _, err := d.InsertElement(d.X.Root, 0, "fresh"); err != nil {
+			t.Fatal(err)
+		}
+		if ix, err = ix.Apply(d, d.TakeChanges()); err != nil {
+			t.Fatal(err)
+		}
+		// The minimum over fresh versions discards allocations another
+		// goroutine happened to make inside the window.
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e, ok := ix.Cursor("*").Next()
+		runtime.ReadMemStats(&after)
+		if !ok || e.Node != d.X.Root {
+			t.Fatal("the first \"*\" entry is not the document root")
+		}
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if best >= budget {
+		t.Fatalf("first \"*\" Next on a fresh version allocated %d bytes, budget %d", best, budget)
 	}
 }
 

@@ -59,12 +59,6 @@ type Index struct {
 	// experiments, off (nil) in production.
 	stats *CursorStats
 
-	// all caches the flattened "*" posting list, computed at most once per
-	// version on first use (a version is immutable, so the merge result
-	// never goes stale).
-	allOnce sync.Once
-	all     []document.Entry
-
 	// root caches the version's root content hash (hash.go), computed at
 	// most once on first RootHash call.
 	rootOnce sync.Once
@@ -144,12 +138,12 @@ func FromSized(ti document.TagIndex, chunkSize int) *Index {
 func (ix *Index) ChunkSize() int { return ix.chunkSize }
 
 // Postings materializes the begin-sorted posting list for a tag; "*"
-// returns every element. This copies O(tag) — the query path should use
-// Cursor instead; Postings remains for snapshots, verification, and
-// callers that genuinely need the whole list.
+// drains every element in document order. This copies O(tag) — the
+// query path should use Cursor instead; Postings remains for snapshots,
+// verification, and callers that genuinely need the whole list.
 func (ix *Index) Postings(tag string) []document.Entry {
 	if tag == "*" {
-		return ix.All()
+		return document.DrainCursor(ix.Cursor("*"))
 	}
 	return ix.tags[tag].flatten()
 }
@@ -158,11 +152,20 @@ func (ix *Index) Postings(tag string) []document.Entry {
 // element in document order). The chunked cursor's Seek skips whole
 // chunks via the directory fences; it also implements the optional
 // document.ChunkFilter (predicate pushdown) and document.OpenSeeker
-// (zig-zag context skip) extensions. The "*" stream is served from the
-// flattened all-elements cache and supports neither.
+// (zig-zag context skip) extensions. The "*" stream is a lazy
+// document.Merge of every tag's chunked cursor: begin order is document
+// order, so the per-tag runs merge into it without any per-version
+// flatten or sort. Opening it costs one head per tag, its Seek fans out
+// to each tag's fence search, and it supports neither extension.
 func (ix *Index) Cursor(tag string) document.Cursor {
 	if tag == "*" {
-		return document.NewSliceCursor(ix.All())
+		// Begins are unique within a version, so the merge's tie-break
+		// never consults branch order and map order cannot show.
+		curs := make([]document.Cursor, 0, len(ix.tags))
+		for t := range ix.tags {
+			curs = append(curs, ix.Cursor(t))
+		}
+		return document.Merge(curs...)
 	}
 	p := ix.tags[tag]
 	if p == nil {
@@ -180,20 +183,6 @@ func (ix *Index) Cursor(tag string) document.Cursor {
 // negatives, so cursors stop honoring FilterChunks until a full rebuild.
 func (ix *Index) SummariesFresh() bool {
 	return ix.sumRoot == nil || ix.sumRoot.AttrGen() == ix.sumGen
-}
-
-// All returns every element in document order (the flattened "*" list),
-// computing it once per version.
-func (ix *Index) All() []document.Entry {
-	ix.allOnce.Do(func() {
-		all := make([]document.Entry, 0, ix.Len())
-		for _, p := range ix.tags {
-			all = p.appendTo(all)
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].Label.Begin < all[j].Label.Begin })
-		ix.all = all
-	})
-	return ix.all
 }
 
 // Tags returns the number of distinct tags.

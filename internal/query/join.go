@@ -382,9 +382,3 @@ func Descendants(d *document.Doc, idx Index, n *xmldom.Node) []*xmldom.Node {
 	}
 	return out
 }
-
-// AllElements materializes the "*" posting stream: every element in
-// document order.
-func AllElements(idx Index) []document.Entry {
-	return document.DrainCursor(idx.Cursor("*"))
-}

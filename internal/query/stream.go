@@ -25,7 +25,8 @@ import "github.com/ltree-db/ltree/internal/document"
 // Rooted paths anchor at the root element, which is recovered from the
 // index itself (the minimal begin of the "*" stream) rather than the
 // live document, so a pinned snapshot never consults mutable label
-// state.
+// state. On the chunked index that is one head per tag, however fresh
+// the version.
 //
 // Evaluation runs with every optimization on: the zig-zag join (both
 // sides fence-skip) and chunk-level predicate pushdown. JoinCursorWith
@@ -96,6 +97,8 @@ func JoinCursorWith(idx Index, p *Path, o EvalOptions) document.Cursor {
 
 // rootEntry recovers the document root's posting from the index: the
 // first entry of the "*" stream (the root owns the minimal begin label).
+// The chunked index serves "*" as a lazy merge of its tag cursors, so
+// this pulls one head per tag and sorts nothing.
 func rootEntry(idx Index) (document.Entry, bool) {
 	return idx.Cursor("*").Next()
 }
@@ -358,7 +361,8 @@ func (j *joinCursor) advance(cand document.Entry, ok bool) (document.Entry, bool
 // entry in document order: one Seek plus a bounded scan of the "*"
 // stream — the subtree-as-index-range primitive, now usable against a
 // pinned snapshot (the anchor's label comes from the same index version,
-// not the live document).
+// not the live document). On the chunked index the Seek fans out to
+// every tag's fence search.
 func DescendantsCursor(idx Index, anchor document.Entry) document.Cursor {
 	return &rangeCursor{cur: idx.Cursor("*"), anchor: anchor.Label}
 }

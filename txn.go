@@ -518,7 +518,7 @@ func MergeResults(rs ...*Results) *Results {
 			curs = append(curs, r.cur)
 		}
 	}
-	return &Results{cur: query.Merge(curs...)}
+	return &Results{cur: document.Merge(curs...)}
 }
 
 // Collect drains the remaining matches into a slice — the materializing
