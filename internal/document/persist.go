@@ -131,9 +131,9 @@ func (d *Doc) RestoredIndexRoot() ([32]byte, bool) {
 	return d.restoredRoot, d.hasRestoredRoot
 }
 
-// Restore reconstructs a labeled document from a Snapshot stream.
-func Restore(r io.Reader) (*Doc, error) {
-	img, err := storage.ReadSnapshot(r)
+// Restore reconstructs a labeled document from encoded Snapshot bytes.
+func Restore(data []byte) (*Doc, error) {
+	img, err := storage.DecodeSnapshot(data)
 	if err != nil {
 		return nil, fmt.Errorf("document: restore: %w", err)
 	}

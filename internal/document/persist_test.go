@@ -28,7 +28,7 @@ func TestSnapshotRestoreBasic(t *testing.T) {
 	if err := d.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(&buf)
+	restored, err := Restore(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestSnapshotAdjacentTextNodes(t *testing.T) {
 	if err := d.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(&buf)
+	restored, err := Restore(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSnapshotRestoreContinuesWorking(t *testing.T) {
 	if err := d.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(&buf)
+	restored, err := Restore(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestSnapshotRestoreContinuesWorking(t *testing.T) {
 }
 
 func TestRestoreRejectsGarbage(t *testing.T) {
-	if _, err := Restore(bytes.NewReader([]byte("not a snapshot"))); !errors.Is(err, storage.ErrCorrupt) {
+	if _, err := Restore([]byte("not a snapshot")); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("garbage restore = %v, want storage.ErrCorrupt", err)
 	}
 }

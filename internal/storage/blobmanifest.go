@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 
 	"github.com/ltree-db/ltree/internal/storage/blob"
 )
@@ -212,84 +211,56 @@ func DecodeBlobManifest(data []byte) (BlobManifest, error) {
 	if !v2 && !bytes.Equal(body[:len(blobManifestMagic)], blobManifestMagicV1[:]) {
 		return m, fmt.Errorf("%w: bad magic", ErrCorruptManifest)
 	}
-	br := bufio.NewReader(bytes.NewReader(body[len(blobManifestMagic):]))
-	nc, err := getInt(br)
-	if err != nil {
-		return m, fmt.Errorf("%w: ckpt count: %v", ErrCorruptManifest, err)
+	d := dec{b: body[len(blobManifestMagic):]}
+	nc := d.int()
+	if d.err != nil {
+		return m, fmt.Errorf("%w: ckpt count: %v", ErrCorruptManifest, d.err)
 	}
 	// Every entry costs at least 6 bytes; bound the allocation by what the
 	// payload could actually hold.
 	if nc > len(body)/6 {
 		return m, fmt.Errorf("%w: %d checkpoints in %d bytes", ErrCorruptManifest, nc, len(body))
 	}
-	var tmp [4]byte
-	prev, first := uint64(0), true
 	for i := 0; i < nc; i++ {
-		var c BlobObject
-		if c.Seq, err = getUvarint(br); err != nil {
-			return m, fmt.Errorf("%w: ckpt %d: %v", ErrCorruptManifest, i, err)
-		}
-		if !first && c.Seq <= prev {
-			return m, fmt.Errorf("%w: checkpoints not ascending at %d", ErrCorruptManifest, c.Seq)
-		}
-		prev, first = c.Seq, false
-		if c.Size, err = getUvarint(br); err != nil {
-			return m, fmt.Errorf("%w: ckpt %d size: %v", ErrCorruptManifest, i, err)
-		}
-		if _, err = io.ReadFull(br, tmp[:]); err != nil {
-			return m, fmt.Errorf("%w: ckpt %d crc: %v", ErrCorruptManifest, i, err)
-		}
-		c.CRC = binary.LittleEndian.Uint32(tmp[:])
+		c := BlobObject{Seq: d.uvarint(), Size: d.uvarint(), CRC: d.u32()}
 		if v2 {
-			flags, err := br.ReadByte()
-			if err != nil {
-				return m, fmt.Errorf("%w: ckpt %d flags: %v", ErrCorruptManifest, i, err)
-			}
+			flags := d.u8()
 			if flags&^byte(blobCkptHasRoot) != 0 {
-				return m, fmt.Errorf("%w: ckpt %d unknown flags %#x", ErrCorruptManifest, i, flags)
+				d.fail(fmt.Errorf("unknown flags %#x", flags))
 			}
-			if flags&blobCkptHasRoot != 0 {
-				if _, err = io.ReadFull(br, c.Root[:]); err != nil {
-					return m, fmt.Errorf("%w: ckpt %d root: %v", ErrCorruptManifest, i, err)
-				}
-				c.HasRoot = true
+			if c.HasRoot = flags&blobCkptHasRoot != 0; c.HasRoot {
+				copy(c.Root[:], d.bytes(len(c.Root)))
 			}
+		}
+		if d.err != nil {
+			return m, fmt.Errorf("%w: ckpt %d: %v", ErrCorruptManifest, i, d.err)
+		}
+		if i > 0 && c.Seq <= m.Ckpts[i-1].Seq {
+			return m, fmt.Errorf("%w: checkpoints not ascending at %d", ErrCorruptManifest, c.Seq)
 		}
 		m.Ckpts = append(m.Ckpts, c)
 	}
-	ns, err := getInt(br)
-	if err != nil {
-		return m, fmt.Errorf("%w: segment count: %v", ErrCorruptManifest, err)
+	ns := d.int()
+	if d.err != nil {
+		return m, fmt.Errorf("%w: segment count: %v", ErrCorruptManifest, d.err)
 	}
 	if ns > len(body)/7 {
 		return m, fmt.Errorf("%w: %d segments in %d bytes", ErrCorruptManifest, ns, len(body))
 	}
-	prev, first = 0, true
 	for i := 0; i < ns; i++ {
-		var s BlobSegment
-		if s.Base, err = getUvarint(br); err != nil {
-			return m, fmt.Errorf("%w: seg %d: %v", ErrCorruptManifest, i, err)
+		s := BlobSegment{Base: d.uvarint(), End: d.uvarint(), Size: d.uvarint(), CRC: d.u32()}
+		if d.err != nil {
+			return m, fmt.Errorf("%w: seg %d: %v", ErrCorruptManifest, i, d.err)
 		}
-		if !first && s.Base <= prev {
+		if i > 0 && s.Base <= m.Segs[i-1].Base {
 			return m, fmt.Errorf("%w: segments not ascending at %d", ErrCorruptManifest, s.Base)
-		}
-		prev, first = s.Base, false
-		if s.End, err = getUvarint(br); err != nil {
-			return m, fmt.Errorf("%w: seg %d end: %v", ErrCorruptManifest, i, err)
 		}
 		if s.End <= s.Base {
 			return m, fmt.Errorf("%w: segment %d with end %d", ErrCorruptManifest, s.Base, s.End)
 		}
-		if s.Size, err = getUvarint(br); err != nil {
-			return m, fmt.Errorf("%w: seg %d size: %v", ErrCorruptManifest, i, err)
-		}
-		if _, err = io.ReadFull(br, tmp[:]); err != nil {
-			return m, fmt.Errorf("%w: seg %d crc: %v", ErrCorruptManifest, i, err)
-		}
-		s.CRC = binary.LittleEndian.Uint32(tmp[:])
 		m.Segs = append(m.Segs, s)
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
+	if len(d.b) != 0 {
 		return m, fmt.Errorf("%w: trailing bytes", ErrCorruptManifest)
 	}
 	return m, nil
@@ -317,9 +288,4 @@ func loadBlobManifest(bs blob.Store, prefix string, retry *blobRetry) (BlobManif
 		retry.sleep(attempt)
 	}
 	return BlobManifest{}, fmt.Errorf("storage: blob manifest unreadable: %w", lastErr)
-}
-
-// getUvarint reads one uvarint (unbounded; callers validate ranges).
-func getUvarint(br *bufio.Reader) (uint64, error) {
-	return binary.ReadUvarint(br)
 }

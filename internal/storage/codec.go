@@ -8,8 +8,17 @@
 // Snapshot wire format (v2) — length-prefixed binary: a magic header,
 // uvarint scalar fields, delta-encoded labels (they are strictly
 // increasing, so gaps compress to a uvarint each), a bit-packed tombstone
-// map, and a pre-order DOM walk with length-prefixed strings. A stream
-// without the magic is rejected as ErrCorrupt.
+// map, and a pre-order DOM walk with length-prefixed strings. Bytes
+// without the magic are rejected as ErrCorrupt.
+//
+// Decoding: every caller already holds a whole snapshot, op batch,
+// manifest or ship frame in memory, so all of them decode through one
+// bounds-checked cursor over the byte slice (dec, dec.go). It checks
+// every count and length against the bytes that remain before it
+// allocates, so a corrupt input fails with memory bounded by its own
+// length. Only the two readers of a live stream — WAL segment scans and
+// ship frames off a socket — read from an io.Reader, through one bounded
+// readPayload.
 package storage
 
 import (
@@ -76,8 +85,7 @@ const (
 	kindElement = 0
 	kindText    = 1
 
-	// maxStr bounds any single length prefix so a corrupt stream cannot
-	// force a huge allocation before the read fails.
+	// maxStr bounds any single length prefix or scalar field.
 	maxStr = 1 << 30
 )
 
@@ -161,93 +169,38 @@ func SnapshotRootHash(data []byte) (root [32]byte, ok bool) {
 	return root, true
 }
 
-// ReadSnapshot decodes a snapshot stream. The "LTSNAP" magic carries a
-// binary format version (2 today; another one is reported as unsupported
-// rather than mis-decoded); a stream without the magic — too short, or
-// some other format entirely — is ErrCorrupt at the sniff.
-func ReadSnapshot(r io.Reader) (*Image, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(magic))
-	if err != nil && !errors.Is(err, io.EOF) {
-		return nil, err
-	}
-	if len(head) < len(magic) || !bytes.Equal(head[:6], magic[:6]) {
+// DecodeSnapshot decodes an encoded snapshot. The "LTSNAP" magic carries
+// a binary format version (2 today; another one is reported as
+// unsupported rather than mis-decoded); bytes without the magic — too
+// short, or some other format entirely — are ErrCorrupt at the sniff.
+func DecodeSnapshot(data []byte) (*Image, error) {
+	if len(data) < len(magic) || !bytes.Equal(data[:6], magic[:6]) {
 		return nil, fmt.Errorf("%w: no LTSNAP magic", ErrCorrupt)
 	}
-	if version := uint16(head[6])<<8 | uint16(head[7]); version != 2 {
+	if version := uint16(data[6])<<8 | uint16(data[7]); version != 2 {
 		return nil, fmt.Errorf("storage: restore: unsupported snapshot format %d", version)
 	}
-	return readV2(br)
-}
-
-// readV2 decodes the current binary format (the magic is still unread).
-func readV2(br *bufio.Reader) (*Image, error) {
-	if _, err := io.ReadFull(br, make([]byte, len(magic))); err != nil {
-		return nil, err
-	}
-	flags, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
+	d := dec{b: data[len(magic):]}
+	flags := d.u8()
 	img := &Image{Wide: flags&flagWide != 0}
-	if flags&flagIndexRoot != 0 {
-		if _, err := io.ReadFull(br, img.IndexRoot[:]); err != nil {
-			return nil, err
-		}
-		img.HasIndexRoot = true
+	if img.HasIndexRoot = flags&flagIndexRoot != 0; img.HasIndexRoot {
+		copy(img.IndexRoot[:], d.bytes(len(img.IndexRoot)))
 	}
-	if img.F, err = getInt(br); err != nil {
-		return nil, err
-	}
-	if img.S, err = getInt(br); err != nil {
-		return nil, err
-	}
-	if img.Height, err = getInt(br); err != nil {
-		return nil, err
-	}
-	n, err := getInt(br)
-	if err != nil {
-		return nil, err
-	}
-	if n > maxStr {
-		return nil, ErrCorrupt
-	}
-	// Grow the slice as data actually arrives: a corrupt count must not
-	// pre-allocate gigabytes before the first read fails (every label
-	// costs at least one stream byte, so memory tracks stream length).
-	img.Labels = make([]uint64, 0, min(n, 1<<16))
-	prev := uint64(0)
-	for i := 0; i < n; i++ {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			prev = v
-		} else {
-			next := prev + v
-			if next < prev || v == 0 {
-				return nil, ErrCorrupt
-			}
-			prev = next
-		}
-		img.Labels = append(img.Labels, prev)
-	}
+	img.F, img.S, img.Height = d.int(), d.int(), d.int()
+	img.Labels = d.labels()
 	if flags&flagTombstones != 0 {
-		bits := make([]byte, (n+7)/8)
-		if _, err := io.ReadFull(br, bits); err != nil {
-			return nil, err
-		}
-		img.Deleted = make([]bool, n)
-		for i := range img.Deleted {
-			img.Deleted[i] = bits[i/8]&(1<<(i%8)) != 0
+		bits := d.bytes((len(img.Labels) + 7) / 8)
+		if d.err == nil {
+			img.Deleted = make([]bool, len(img.Labels))
+			for i := range img.Deleted {
+				img.Deleted[i] = bits[i/8]&(1<<(i%8)) != 0
+			}
 		}
 	}
-	root, err := readNode(br, 0)
-	if err != nil {
-		return nil, err
+	d.tree(&img.Root)
+	if d.err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, d.err)
 	}
-	img.Root = *root
 	return img, nil
 }
 
@@ -282,67 +235,6 @@ func writeNode(bw *bufio.Writer, n *NodeRec) error {
 	}
 }
 
-// maxDepth caps DOM recursion so a corrupt stream cannot blow the stack.
-const maxDepth = 1 << 16
-
-func readNode(br *bufio.Reader, depth int) (*NodeRec, error) {
-	if depth > maxDepth {
-		return nil, ErrCorrupt
-	}
-	kind, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	switch kind {
-	case kindElement:
-		n := &NodeRec{Kind: kindElement}
-		if n.Tag, err = getString(br); err != nil {
-			return nil, err
-		}
-		na, err := getInt(br)
-		if err != nil || na > maxStr {
-			return nil, firstErr(err)
-		}
-		for i := 0; i < na; i++ {
-			var a AttrRec
-			if a.Name, err = getString(br); err != nil {
-				return nil, err
-			}
-			if a.Value, err = getString(br); err != nil {
-				return nil, err
-			}
-			n.Attrs = append(n.Attrs, a)
-		}
-		nc, err := getInt(br)
-		if err != nil || nc > maxStr {
-			return nil, firstErr(err)
-		}
-		for i := 0; i < nc; i++ {
-			c, err := readNode(br, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			n.Children = append(n.Children, *c)
-		}
-		return n, nil
-	case kindText:
-		n := &NodeRec{Kind: kindText}
-		if n.Data, err = getString(br); err != nil {
-			return nil, err
-		}
-		return n, nil
-	default:
-		return nil, fmt.Errorf("%w: node kind %d", ErrCorrupt, kind)
-	}
-}
-
-func firstErr(err error) error {
-	if err != nil {
-		return err
-	}
-	return ErrCorrupt
-}
-
 func putUvarint(bw *bufio.Writer, v uint64) {
 	var buf [binary.MaxVarintLen64]byte
 	bw.Write(buf[:binary.PutUvarint(buf[:], v)])
@@ -351,34 +243,4 @@ func putUvarint(bw *bufio.Writer, v uint64) {
 func putString(bw *bufio.Writer, s string) {
 	putUvarint(bw, uint64(len(s)))
 	bw.WriteString(s)
-}
-
-func getInt(br *bufio.Reader) (int, error) {
-	v, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, err
-	}
-	if v > maxStr {
-		return 0, ErrCorrupt
-	}
-	return int(v), nil
-}
-
-func getString(br *bufio.Reader) (string, error) {
-	n, err := getInt(br)
-	if err != nil {
-		return "", err
-	}
-	// Chunked reads for the same reason as the label loop: a corrupt
-	// length must fail after one chunk, not allocate it all up front.
-	buf := make([]byte, 0, min(n, 1<<13))
-	var chunk [1 << 13]byte
-	for len(buf) < n {
-		want := min(n-len(buf), len(chunk))
-		if _, err := io.ReadFull(br, chunk[:want]); err != nil {
-			return "", err
-		}
-		buf = append(buf, chunk[:want]...)
-	}
-	return string(buf), nil
 }

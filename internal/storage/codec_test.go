@@ -38,7 +38,7 @@ func TestV2RoundTrip(t *testing.T) {
 	if err := WriteSnapshot(&buf, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(&buf)
+	got, err := DecodeSnapshot(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestV2NoTombstones(t *testing.T) {
 	if err := WriteSnapshot(&buf, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(&buf)
+	got, err := DecodeSnapshot(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestV2NoTombstones(t *testing.T) {
 func TestReadRejectsFutureVersion(t *testing.T) {
 	future := append([]byte{}, magic[:6]...)
 	future = append(future, 0, 3) // version 3
-	_, err := ReadSnapshot(bytes.NewReader(future))
+	_, err := DecodeSnapshot(future)
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("unsupported snapshot format 3")) {
 		t.Fatalf("future version error = %v", err)
 	}
@@ -84,12 +84,12 @@ func TestReadRejectsGarbage(t *testing.T) {
 		[]byte("not a snapshot"),
 	} {
 		// No LTSNAP magic: rejected at the sniff, never handed to a decoder.
-		if _, err := ReadSnapshot(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+		if _, err := DecodeSnapshot(bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("garbage %q: err = %v, want ErrCorrupt", bad, err)
 		}
 	}
 	// Magic then truncation.
-	if _, err := ReadSnapshot(bytes.NewReader(append(append([]byte{}, magic[:]...), 0xff))); err == nil {
+	if _, err := DecodeSnapshot(append(append([]byte{}, magic[:]...), 0xff)); err == nil {
 		t.Fatal("truncated v2 stream decoded")
 	}
 }
@@ -105,7 +105,7 @@ func TestReadBoundedAllocation(t *testing.T) {
 	putUvarintTest(&buf, 2)     // S
 	putUvarintTest(&buf, 3)     // Height
 	putUvarintTest(&buf, 1<<29) // label count, then nothing
-	if _, err := ReadSnapshot(&buf); err == nil {
+	if _, err := DecodeSnapshot(buf.Bytes()); err == nil {
 		t.Fatal("truncated label stream decoded")
 	}
 }

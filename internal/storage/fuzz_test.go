@@ -1,10 +1,12 @@
 package storage
 
-// Native fuzz targets over the two decode surfaces a crashed or hostile
-// disk can reach: the snapshot codec (FuzzSnapshotDecode) and the
-// WAL record framing + op payload codec (FuzzWALReplay). The contract
-// under fuzz: decoders never panic, never allocate unboundedly (every
-// length-prefixed read is chunked against actual stream bytes), and
+// Native fuzz targets over the decode surfaces a crashed or hostile disk
+// or peer can reach: the snapshot codec (FuzzSnapshotDecode), the WAL
+// record framing + op payload codec (FuzzWALReplay), the blob-tier
+// manifest (FuzzBlobManifest) and the ship-frame protocol
+// (FuzzShipFrame). The contract under fuzz: decoders never panic, never
+// allocate unboundedly (every count and length is checked against the
+// bytes that remain before anything is allocated at its size), and
 // anything they accept re-encodes and re-decodes to the same value.
 //
 // Seed corpora live in testdata/fuzz/<FuzzName>/ (the native corpus
@@ -12,6 +14,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -85,7 +88,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if len(data) > fuzzInputCap {
 			t.Skip()
 		}
-		img, err := ReadSnapshot(bytes.NewReader(data))
+		img, err := DecodeSnapshot(data)
 		if err != nil {
 			return
 		}
@@ -95,7 +98,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err := WriteSnapshot(&buf, img); err != nil {
 			t.Fatalf("decoded snapshot does not re-encode: %v", err)
 		}
-		again, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+		again, err := DecodeSnapshot(buf.Bytes())
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded snapshot failed: %v", err)
 		}
@@ -206,6 +209,111 @@ func FuzzBlobManifest(f *testing.F) {
 	})
 }
 
+// shipSeeds builds ship-frame corpus inputs: one stream holding a valid
+// frame of every shape the client and server exchange, that stream torn
+// and bit-flipped, and every row of the malformed-frame table.
+func shipSeeds(tb testing.TB) [][]byte {
+	ops, err := EncodeOps(seedOps())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := WriteSnapshot(&snap, seedImage()); err != nil {
+		tb.Fatal(err)
+	}
+	uv := func(vs ...uint64) []byte {
+		var p []byte
+		for _, v := range vs {
+			p = binary.AppendUvarint(p, v)
+		}
+		return p
+	}
+	var stream bytes.Buffer
+	for _, fr := range []struct {
+		kind    uint64
+		payload []byte
+	}{
+		{frameHello, uv(wireProto)},
+		{frameHelloOK, uv(wireProto, 5, 1)},
+		{frameReplay, uv(0, wirePage)},
+		{frameRec, append(uv(3), ops...)},
+		{frameReplayEnd, uv(1, 5)},
+		{frameLatest, nil},
+		{frameLatestOK, append(uv(5), snap.Bytes()...)},
+		{frameRetain, uv(1, 3)},
+		{frameErr, append(uv(ecCorrupt), "gap"...)},
+		{frameNotify, uv(9, 1)},
+		{frameClosed, nil},
+	} {
+		stream.Write(frameRecord(fr.kind, fr.payload))
+	}
+	torn := stream.Bytes()[:stream.Len()-5]
+	flipped := append([]byte(nil), stream.Bytes()...)
+	flipped[len(flipped)/2] ^= 0x40
+	seeds := [][]byte{stream.Bytes(), torn, flipped, {}}
+	for _, row := range malformedFrames() {
+		seeds = append(seeds, row.data)
+	}
+	return seeds
+}
+
+// FuzzShipFrame reads a frame stream the way both ends of a ship
+// connection do, and hands each accepted frame's rest to the decoder
+// its receiver would: error frames to decodeErrFrame, records to
+// DecodeOps, bootstrap replies to DecodeSnapshot.
+func FuzzShipFrame(f *testing.F) {
+	for _, seed := range shipSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > fuzzInputCap {
+			t.Skip()
+		}
+		readShipFrames(t, data)
+		// The input as the payload of a CRC-clean frame of every kind:
+		// the CRC would otherwise keep fuzzing away from the payload
+		// decoders.
+		for kind := range uint64(len(wireFields)) {
+			readShipFrames(t, frameRecord(kind, data))
+		}
+	})
+}
+
+func readShipFrames(t *testing.T, stream []byte) {
+	r := bytes.NewReader(stream)
+	for {
+		fr, err := readWireFrame(r)
+		if err != nil {
+			return
+		}
+		switch fr.kind {
+		case frameErr:
+			if decodeErrFrame(fr) == nil {
+				t.Fatal("error frame decoded to a nil error")
+			}
+		case frameRec:
+			if ops, err := DecodeOps(fr.rest); err == nil {
+				reencodeOps(t, ops)
+			}
+		case frameLatestOK:
+			_, _ = DecodeSnapshot(fr.rest)
+		}
+		// Accepted frame: its fields and rest re-frame to a frame that
+		// decodes the same.
+		var p []byte
+		for i := range wireFields[fr.kind] {
+			p = binary.AppendUvarint(p, fr.f[i])
+		}
+		again, err := readWireFrame(bytes.NewReader(frameRecord(fr.kind, append(p, fr.rest...))))
+		if err != nil {
+			t.Fatalf("re-framed frame %d does not decode: %v", fr.kind, err)
+		}
+		if again.kind != fr.kind || again.f != fr.f || !bytes.Equal(again.rest, fr.rest) {
+			t.Fatalf("frame roundtrip not stable: %+v then %+v", fr, again)
+		}
+	}
+}
+
 // reencodeOps checks the accepted-input roundtrip: ops that decoded must
 // encode cleanly and decode back to the same value.
 func reencodeOps(t *testing.T, ops []Op) {
@@ -249,6 +357,7 @@ func TestWriteFuzzSeeds(t *testing.T) {
 	write("FuzzSnapshotDecode", snapshotSeeds(t))
 	write("FuzzWALReplay", walSeeds(t))
 	write("FuzzBlobManifest", manifestSeeds(t))
+	write("FuzzShipFrame", shipSeeds(t))
 }
 
 // TestFuzzSeedCorpusLoads asserts the checked-in corpus files decode with
@@ -256,7 +365,7 @@ func TestWriteFuzzSeeds(t *testing.T) {
 // changed without regenerating testdata/fuzz (old files must keep
 // loading; see the golden back-compat test for the snapshot side).
 func TestFuzzSeedCorpusLoads(t *testing.T) {
-	for _, target := range []string{"FuzzSnapshotDecode", "FuzzWALReplay", "FuzzBlobManifest"} {
+	for _, target := range []string{"FuzzSnapshotDecode", "FuzzWALReplay", "FuzzBlobManifest", "FuzzShipFrame"} {
 		dir := filepath.Join("testdata", "fuzz", target)
 		entries, err := os.ReadDir(dir)
 		if err != nil {

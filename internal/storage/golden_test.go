@@ -39,7 +39,7 @@ func TestGoldenSnapshotsLoad(t *testing.T) {
 	v2 := readGolden(t, "golden-v2.ltsnap")
 
 	// Codec level: the stream decodes, tombstones included.
-	img2, err := storage.ReadSnapshot(bytes.NewReader(v2))
+	img2, err := storage.DecodeSnapshot(v2)
 	if err != nil {
 		t.Fatalf("v2 snapshot no longer decodes: %v", err)
 	}
@@ -94,8 +94,8 @@ func TestGoldenSnapshotsLoad(t *testing.T) {
 // the codec and the store seam — ErrCorrupt at the magic sniff, no panic.
 func TestGoldenV1Rejected(t *testing.T) {
 	v1 := readGolden(t, "golden-v1.gob")
-	if _, err := storage.ReadSnapshot(bytes.NewReader(v1)); !errors.Is(err, storage.ErrCorrupt) {
-		t.Fatalf("ReadSnapshot(v1 gob) = %v, want ErrCorrupt", err)
+	if _, err := storage.DecodeSnapshot(v1); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("DecodeSnapshot(v1 gob) = %v, want ErrCorrupt", err)
 	}
 	if _, err := ltree.Restore(bytes.NewReader(v1)); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("Restore(v1 gob) = %v, want ErrCorrupt", err)
@@ -108,7 +108,7 @@ func TestGoldenV1Rejected(t *testing.T) {
 // ancestor/descendant relationship derived from them.
 func TestGoldenLabelsStable(t *testing.T) {
 	v2 := readGolden(t, "golden-v2.ltsnap")
-	img, err := storage.ReadSnapshot(bytes.NewReader(v2))
+	img, err := storage.DecodeSnapshot(v2)
 	if err != nil {
 		t.Fatal(err)
 	}

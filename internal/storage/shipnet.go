@@ -104,68 +104,64 @@ var errTransport = errors.New("storage: shipnet: transport error")
 // only read; writes belong to the leader.
 var ErrRemoteReadOnly = errors.New("storage: remote tail source is read-only (writes belong to the leader)")
 
-// wireFrame is one decoded frame.
+// wireFrame is one decoded frame: its kind, the uvarint fields the kind
+// leads with (wireFields), and the raw rest of the payload — a snapshot,
+// a record payload or an error message.
 type wireFrame struct {
-	kind    uint64
-	payload []byte
+	kind uint64
+	f    [3]uint64
+	rest []byte
 }
 
-// readWireFrame reads and verifies one frame. Any malformation is a
-// connection error — there is no durable prefix to trust on a stream.
-func readWireFrame(r io.Reader) (uint64, []byte, error) {
+// wireFields is how many uvarint fields each frame kind leads with.
+var wireFields = [...]int{
+	frameHello: 1, frameLatest: 0, frameReplay: 2, frameRetain: 2,
+	frameAdvance: 2, frameRelease: 1, frameMarkRebase: 0,
+	frameHelloOK: 3, frameLatestOK: 1, frameErr: 1, frameRec: 1,
+	frameReplayEnd: 2, frameNotify: 2, frameClosed: 0,
+}
+
+// readWireFrame reads, verifies and decodes one frame. Any malformation —
+// torn, oversized, a CRC mismatch, an unknown kind, a payload too short
+// for its kind's fields — is a connection error: there is no durable
+// prefix to trust on a stream.
+func readWireFrame(r io.Reader) (wireFrame, error) {
 	var head [recordHeaderLen]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return 0, nil, err
+		return wireFrame{}, err
 	}
 	length := binary.LittleEndian.Uint32(head[0:4])
 	crc := binary.LittleEndian.Uint32(head[4:8])
-	kind := binary.LittleEndian.Uint64(head[8:16])
+	fr := wireFrame{kind: binary.LittleEndian.Uint64(head[8:16])}
 	if length > maxRecord {
-		return 0, nil, fmt.Errorf("storage: shipnet: frame claims %d bytes", length)
+		return fr, fmt.Errorf("storage: shipnet: frame claims %d bytes", length)
 	}
-	// Chunked read, same discipline as scanRecords: a corrupt length
-	// must fail after one chunk, not pre-allocate the claimed size.
-	payload := make([]byte, 0, min(int(length), 1<<13))
-	var chunk [1 << 13]byte
-	for len(payload) < int(length) {
-		want := min(int(length)-len(payload), len(chunk))
-		if _, err := io.ReadFull(r, chunk[:want]); err != nil {
-			return 0, nil, err
-		}
-		payload = append(payload, chunk[:want]...)
-	}
-	sum := crc32.Checksum(head[8:16], crcTable)
-	sum = crc32.Update(sum, crcTable, payload)
-	if sum != crc {
-		return 0, nil, errors.New("storage: shipnet: frame CRC mismatch")
-	}
-	return kind, payload, nil
-}
-
-// wireReader is a tiny cursor over a frame payload.
-type wireReader struct{ p []byte }
-
-func (w *wireReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(w.p)
-	if n <= 0 {
-		return 0, errors.New("storage: shipnet: malformed frame payload")
-	}
-	w.p = w.p[n:]
-	return v, nil
-}
-
-func (w *wireReader) rest() []byte { return w.p }
-
-// decodeErrFrame maps a frameErr payload back to the sentinel the
-// server-side call returned.
-func decodeErrFrame(payload []byte) error {
-	wr := wireReader{payload}
-	code, err := wr.uvarint()
+	payload, err := readPayload(r, int(length))
 	if err != nil {
-		return err
+		return fr, err
 	}
-	msg := string(wr.rest())
-	switch code {
+	if crc32.Update(crc32.Checksum(head[8:16], crcTable), crcTable, payload) != crc {
+		return fr, errors.New("storage: shipnet: frame CRC mismatch")
+	}
+	if fr.kind == 0 || fr.kind >= uint64(len(wireFields)) {
+		return fr, fmt.Errorf("storage: shipnet: unknown frame kind %d", fr.kind)
+	}
+	d := dec{b: payload}
+	for i := range wireFields[fr.kind] {
+		fr.f[i] = d.uvarint()
+	}
+	if d.err != nil {
+		return fr, fmt.Errorf("storage: shipnet: malformed frame %d: %v", fr.kind, d.err)
+	}
+	fr.rest = d.b
+	return fr, nil
+}
+
+// decodeErrFrame maps a frameErr back to the sentinel the server-side
+// call returned.
+func decodeErrFrame(fr wireFrame) error {
+	msg := string(fr.rest)
+	switch fr.f[0] {
 	case ecNoVersion:
 		return fmt.Errorf("%w (remote: %s)", ErrNoVersion, msg)
 	case ecCorrupt:
@@ -333,13 +329,11 @@ func (h *shipConn) serve() {
 	defer close(h.done)
 
 	// Handshake before anything is served.
-	kind, payload, err := readWireFrame(h.br)
-	if err != nil || kind != frameHello {
+	fr, err := readWireFrame(h.br)
+	if err != nil || fr.kind != frameHello {
 		return
 	}
-	wr := wireReader{payload}
-	proto, err := wr.uvarint()
-	if err != nil || proto != wireProto {
+	if proto := fr.f[0]; proto != wireProto {
 		h.writeErr(ecOther, fmt.Sprintf("unsupported protocol %d (want %d)", proto, wireProto))
 		return
 	}
@@ -354,11 +348,11 @@ func (h *shipConn) serve() {
 	go h.notify()
 
 	for {
-		kind, payload, err := readWireFrame(h.br)
+		fr, err := readWireFrame(h.br)
 		if err != nil {
 			return
 		}
-		if h.handle(kind, payload) != nil {
+		if h.handle(fr) != nil {
 			return
 		}
 	}
@@ -398,9 +392,8 @@ func (h *shipConn) notify() {
 // handle processes one request frame. A returned error drops the
 // connection (protocol violation or dead transport); request-level
 // failures are reported in-band via frameErr.
-func (h *shipConn) handle(kind uint64, payload []byte) error {
-	wr := wireReader{payload}
-	switch kind {
+func (h *shipConn) handle(fr wireFrame) error {
+	switch fr.kind {
 	case frameLatest:
 		v, snap, err := h.src.Latest()
 		if err != nil {
@@ -411,57 +404,30 @@ func (h *shipConn) handle(kind uint64, payload []byte) error {
 		p = append(p, snap...)
 		return h.write(frameLatestOK, p)
 	case frameReplay:
-		since, err := wr.uvarint()
-		if err != nil {
-			return err
-		}
-		max64, err := wr.uvarint()
-		if err != nil {
-			return err
-		}
-		return h.replay(since, int(max64))
+		return h.replay(fr.f[0], int(fr.f[1]))
 	case frameRetain:
-		id, err := wr.uvarint()
-		if err != nil {
-			return err
-		}
-		seq, err := wr.uvarint()
-		if err != nil {
-			return err
-		}
+		id, seq := fr.f[0], fr.f[1]
 		if old, ok := h.leases[id]; ok {
 			old.Release()
 		}
 		h.leases[id] = h.src.Retain(seq)
 		return nil
 	case frameAdvance:
-		id, err := wr.uvarint()
-		if err != nil {
-			return err
-		}
-		seq, err := wr.uvarint()
-		if err != nil {
-			return err
-		}
-		if l, ok := h.leases[id]; ok {
-			l.Advance(seq)
+		if l, ok := h.leases[fr.f[0]]; ok {
+			l.Advance(fr.f[1])
 		}
 		return nil
 	case frameRelease:
-		id, err := wr.uvarint()
-		if err != nil {
-			return err
-		}
-		if l, ok := h.leases[id]; ok {
+		if l, ok := h.leases[fr.f[0]]; ok {
 			l.Release()
-			delete(h.leases, id)
+			delete(h.leases, fr.f[0])
 		}
 		return nil
 	case frameMarkRebase:
 		h.src.MarkRebased()
 		return nil
 	default:
-		return fmt.Errorf("storage: shipnet: unexpected frame kind %d", kind)
+		return fmt.Errorf("storage: shipnet: unexpected frame kind %d", fr.kind)
 	}
 }
 
@@ -636,31 +602,20 @@ func clientHello(conn net.Conn, br *bufio.Reader) (seq, rebases uint64, err erro
 	if _, err = conn.Write(frameRecord(frameHello, p)); err != nil {
 		return 0, 0, err
 	}
-	kind, payload, err := readWireFrame(br)
+	fr, err := readWireFrame(br)
 	if err != nil {
 		return 0, 0, err
 	}
-	if kind == frameErr {
-		return 0, 0, decodeErrFrame(payload)
+	if fr.kind == frameErr {
+		return 0, 0, decodeErrFrame(fr)
 	}
-	if kind != frameHelloOK {
-		return 0, 0, fmt.Errorf("storage: shipnet: handshake got frame %d", kind)
+	if fr.kind != frameHelloOK {
+		return 0, 0, fmt.Errorf("storage: shipnet: handshake got frame %d", fr.kind)
 	}
-	wr := wireReader{payload}
-	proto, err := wr.uvarint()
-	if err != nil {
-		return 0, 0, err
-	}
-	if proto != wireProto {
+	if proto := fr.f[0]; proto != wireProto {
 		return 0, 0, fmt.Errorf("storage: shipnet: server speaks protocol %d (want %d)", proto, wireProto)
 	}
-	if seq, err = wr.uvarint(); err != nil {
-		return 0, 0, err
-	}
-	if rebases, err = wr.uvarint(); err != nil {
-		return 0, 0, err
-	}
-	return seq, rebases, nil
+	return fr.f[1], fr.f[2], nil
 }
 
 // ensureConn (re)establishes the connection with backoff, bounded by
@@ -761,22 +716,15 @@ func (r *RemoteTailSource) ensureConn() error {
 // exchanges.
 func (r *RemoteTailSource) read(conn net.Conn, br *bufio.Reader, resp chan wireFrame) {
 	for {
-		kind, payload, err := readWireFrame(br)
+		fr, err := readWireFrame(br)
 		if err != nil {
 			r.dropConn(conn)
 			close(resp)
 			return
 		}
-		switch kind {
+		switch fr.kind {
 		case frameNotify:
-			wr := wireReader{payload}
-			seq, e1 := wr.uvarint()
-			reb, e2 := wr.uvarint()
-			if e1 != nil || e2 != nil {
-				r.dropConn(conn)
-				close(resp)
-				return
-			}
+			seq, reb := fr.f[0], fr.f[1]
 			r.mu.Lock()
 			if r.conn == conn {
 				if seq > r.seq {
@@ -801,7 +749,7 @@ func (r *RemoteTailSource) read(conn net.Conn, br *bufio.Reader, resp chan wireF
 			return
 		default:
 			select {
-			case resp <- wireFrame{kind, payload}:
+			case resp <- fr:
 			case <-r.done:
 				r.dropConn(conn)
 				close(resp)
@@ -960,16 +908,9 @@ func (r *RemoteTailSource) Latest() (uint64, []byte, error) {
 		}
 		switch f.kind {
 		case frameLatestOK:
-			wr := wireReader{f.payload}
-			v, err := wr.uvarint()
-			if err != nil {
-				lastErr = err
-				r.dropConn(conn)
-				continue
-			}
-			return v, wr.rest(), nil
+			return f.f[0], f.rest, nil
 		case frameErr:
-			return 0, nil, decodeErrFrame(f.payload)
+			return 0, nil, decodeErrFrame(f)
 		default:
 			lastErr = fmt.Errorf("storage: shipnet: unexpected frame %d", f.kind)
 			r.dropConn(conn)
@@ -1082,24 +1023,11 @@ func (r *RemoteTailSource) tryPage(since uint64, max int) ([]shipRec, uint64, ui
 		}
 		switch f.kind {
 		case frameRec:
-			wr := wireReader{f.payload}
-			seq, err := wr.uvarint()
-			if err != nil {
-				r.dropConn(conn)
-				return nil, 0, 0, fmt.Errorf("storage: shipnet: %v (%w)", err, errTransport)
-			}
-			page = append(page, shipRec{seq: seq, payload: wr.rest()})
+			page = append(page, shipRec{seq: f.f[0], payload: f.rest})
 		case frameReplayEnd:
-			wr := wireReader{f.payload}
-			reb, e1 := wr.uvarint()
-			srcSeq, e2 := wr.uvarint()
-			if e1 != nil || e2 != nil {
-				r.dropConn(conn)
-				return nil, 0, 0, fmt.Errorf("storage: shipnet: malformed replay end (%w)", errTransport)
-			}
-			return page, reb, srcSeq, nil
+			return page, f.f[0], f.f[1], nil
 		case frameErr:
-			return nil, 0, 0, decodeErrFrame(f.payload)
+			return nil, 0, 0, decodeErrFrame(f)
 		default:
 			r.dropConn(conn)
 			return nil, 0, 0, fmt.Errorf("storage: shipnet: unexpected frame %d (%w)", f.kind, errTransport)

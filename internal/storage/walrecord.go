@@ -138,77 +138,39 @@ func EncodeOps(ops []Op) ([]byte, error) {
 // CRC but was encoded by a buggy writer still fails loudly instead of
 // replaying nonsense.
 func DecodeOps(payload []byte) ([]Op, error) {
-	br := bufio.NewReader(bytes.NewReader(payload))
-	nops, err := getInt(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: op count: %v", ErrCorruptWAL, err)
+	d := dec{b: payload}
+	nops := d.count() // every op costs at least one payload byte
+	if d.err != nil {
+		return nil, fmt.Errorf("%w: op count: %v", ErrCorruptWAL, d.err)
 	}
-	// Every op costs at least one payload byte.
-	if nops > len(payload) {
-		return nil, fmt.Errorf("%w: %d ops in %d bytes", ErrCorruptWAL, nops, len(payload))
-	}
-	ops := make([]Op, 0, nops)
-	for i := 0; i < nops; i++ {
-		kind, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: op %d kind: %v", ErrCorruptWAL, i, err)
-		}
-		op := Op{Kind: OpKind(kind)}
+	ops := make([]Op, nops)
+	for i := range ops {
+		op := &ops[i]
+		op.Kind = OpKind(d.u8())
 		switch op.Kind {
 		case OpInsert:
-			if op.Path, err = getPath(br); err != nil {
-				return nil, fmt.Errorf("%w: op %d: %v", ErrCorruptWAL, i, err)
-			}
-			idx, err := getInt(br)
-			if err != nil {
-				return nil, fmt.Errorf("%w: op %d idx: %v", ErrCorruptWAL, i, err)
-			}
-			op.Idx = uint32(idx)
-			if op.Labels, err = getLabels(br); err != nil {
-				return nil, fmt.Errorf("%w: op %d: %v", ErrCorruptWAL, i, err)
-			}
-			sub, err := readNode(br, 0)
-			if err != nil {
-				return nil, fmt.Errorf("%w: op %d subtree: %v", ErrCorruptWAL, i, err)
-			}
-			op.Sub = sub
+			op.Path, op.Idx, op.Labels = d.path(), uint32(d.int()), d.labels()
+			op.Sub = new(NodeRec)
+			d.tree(op.Sub)
 		case OpDelete:
-			if op.Path, err = getPath(br); err != nil {
-				return nil, fmt.Errorf("%w: op %d: %v", ErrCorruptWAL, i, err)
-			}
-			if op.Labels, err = getLabels(br); err != nil {
-				return nil, fmt.Errorf("%w: op %d: %v", ErrCorruptWAL, i, err)
-			}
-			if len(op.Labels) != 1 {
+			op.Path, op.Labels = d.path(), d.labels()
+			if d.err == nil && len(op.Labels) != 1 {
 				return nil, fmt.Errorf("%w: op %d: delete carries %d labels", ErrCorruptWAL, i, len(op.Labels))
 			}
 		case OpMove:
-			if op.Path, err = getPath(br); err != nil {
-				return nil, fmt.Errorf("%w: op %d: %v", ErrCorruptWAL, i, err)
-			}
-			if op.Dst, err = getPath(br); err != nil {
-				return nil, fmt.Errorf("%w: op %d: %v", ErrCorruptWAL, i, err)
-			}
-			idx, err := getInt(br)
-			if err != nil {
-				return nil, fmt.Errorf("%w: op %d idx: %v", ErrCorruptWAL, i, err)
-			}
-			op.Idx = uint32(idx)
-			if op.Labels, err = getLabels(br); err != nil {
-				return nil, fmt.Errorf("%w: op %d: %v", ErrCorruptWAL, i, err)
-			}
+			op.Path, op.Dst, op.Idx, op.Labels = d.path(), d.path(), uint32(d.int()), d.labels()
 		case OpCompact:
 			// no body
 		case OpStamp:
-			if _, err := io.ReadFull(br, op.Root[:]); err != nil {
-				return nil, fmt.Errorf("%w: op %d stamp: %v", ErrCorruptWAL, i, err)
-			}
+			copy(op.Root[:], d.bytes(len(op.Root)))
 		default:
-			return nil, fmt.Errorf("%w: op %d: unknown kind %d", ErrCorruptWAL, i, kind)
+			d.fail(fmt.Errorf("unknown kind %d", op.Kind))
 		}
-		ops = append(ops, op)
+		if d.err != nil {
+			return nil, fmt.Errorf("%w: op %d: %v", ErrCorruptWAL, i, d.err)
+		}
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
+	if len(d.b) != 0 {
 		return nil, fmt.Errorf("%w: trailing bytes after %d ops", ErrCorruptWAL, nops)
 	}
 	return ops, nil
@@ -220,27 +182,6 @@ func putPath(bw *bufio.Writer, path []uint32) {
 	for _, step := range path {
 		putUvarint(bw, uint64(step))
 	}
-}
-
-// getPath reads a node path, bounded by the codec's recursion limit (a
-// path deeper than maxDepth cannot reference a decodable document).
-func getPath(br *bufio.Reader) ([]uint32, error) {
-	n, err := getInt(br)
-	if err != nil {
-		return nil, err
-	}
-	if n > maxDepth {
-		return nil, fmt.Errorf("path depth %d", n)
-	}
-	path := make([]uint32, n)
-	for i := range path {
-		step, err := getInt(br)
-		if err != nil {
-			return nil, err
-		}
-		path[i] = uint32(step)
-	}
-	return path, nil
 }
 
 // putLabels emits a strictly increasing label run with the v2 snapshot
@@ -260,34 +201,6 @@ func putLabels(bw *bufio.Writer, labels []uint64) error {
 		prev = lab
 	}
 	return nil
-}
-
-// getLabels reads a delta-coded label run, growing the slice only as
-// stream bytes actually arrive (mirrors readV2's label loop).
-func getLabels(br *bufio.Reader) ([]uint64, error) {
-	n, err := getInt(br)
-	if err != nil {
-		return nil, err
-	}
-	labels := make([]uint64, 0, min(n, 1<<16))
-	prev := uint64(0)
-	for i := 0; i < n; i++ {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			prev = v
-		} else {
-			next := prev + v
-			if next < prev || v == 0 {
-				return nil, fmt.Errorf("label delta %d at %d", v, i)
-			}
-			prev = next
-		}
-		labels = append(labels, prev)
-	}
-	return labels, nil
 }
 
 // frameRecord builds one framed record ready to append to a segment.
@@ -329,24 +242,11 @@ func scanRecords(r io.Reader, base uint64, fn func(seq uint64, payload []byte) e
 		if length > maxRecord || seq != expect {
 			return good, nil
 		}
-		// Chunked read: a corrupt length prefix must fail after one chunk,
-		// not pre-allocate the whole claimed size (same discipline as the
-		// snapshot codec's getString).
-		payload := make([]byte, 0, min(int(length), 1<<13))
-		var chunk [1 << 13]byte
-		torn := false
-		for len(payload) < int(length) {
-			want := min(int(length)-len(payload), len(chunk))
-			if _, err := io.ReadFull(br, chunk[:want]); err != nil {
-				if !isStreamEnd(err) {
-					return good, err
-				}
-				torn = true
-				break
+		payload, err := readPayload(br, int(length))
+		if err != nil {
+			if !isStreamEnd(err) {
+				return good, err
 			}
-			payload = append(payload, chunk[:want]...)
-		}
-		if torn {
 			return good, nil // torn payload
 		}
 		sum := crc32.Checksum(head[8:16], crcTable)
@@ -361,6 +261,23 @@ func scanRecords(r io.Reader, base uint64, fn func(seq uint64, payload []byte) e
 		}
 		good += recordHeaderLen + int64(length)
 		expect++
+	}
+}
+
+// readPayload reads exactly n bytes of a record or frame payload off a
+// stream, into a buffer that starts at min(n, 8 KiB) and doubles as bytes
+// arrive: a corrupt length prefix fails after memory proportional to
+// the bytes actually received, never the size it claims.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, 1<<13))
+	for off := 0; ; {
+		if _, err := io.ReadFull(r, buf[off:]); err != nil {
+			return nil, err
+		}
+		if off = len(buf); off == n {
+			return buf, nil
+		}
+		buf = append(buf, make([]byte, min(n-off, off))...)
 	}
 }
 

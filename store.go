@@ -552,7 +552,7 @@ func Restore(r io.Reader) (*Store, error) {
 // document, build and publish its index, and check that index against
 // the root hash the writer stamped.
 func restoreStore(data []byte) (*Store, error) {
-	doc, err := document.Restore(bytes.NewReader(data))
+	doc, err := document.Restore(data)
 	if err != nil {
 		return nil, err
 	}
