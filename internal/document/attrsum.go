@@ -1,58 +1,51 @@
 package document
 
-import "github.com/ltree-db/ltree/internal/xmldom"
+import "slices"
 
-// AttrSummary is a small fixed-size bloom filter over the attribute keys
-// of a run of elements: for every attribute a of every element it holds
-// both the name key (AttrKeyHash) and the name=value key (AttrKVHash).
-// The chunked index builds one per immutable chunk at chunk-build time
-// and stores it beside the fence directory, so a predicate-filtered
-// cursor can reject a whole chunk — no posting decoded, no attribute
-// list scanned — when a required key is provably absent.
-//
-// Semantics are strictly one-sided: MayContain never reports false for a
-// key that was added (no false negatives), so a skip is always sound;
-// false positives only cost a wasted chunk decode. A chunk whose
-// elements carry many distinct attribute values saturates the filter and
-// degrades to "maybe" for everything — per-chunk summaries pay off on
-// low-cardinality, clustered attributes (flags, roles, categories), and
-// cost one branch per chunk everywhere else. See DESIGN.md §3.5.
-type AttrSummary [4]uint64
+// AttrKeySet is the exact attribute key set of a run of elements: for
+// every attribute a of every element it holds both the name key
+// (AttrKeyHash) and the name=value key (AttrKVHash), sorted and
+// de-duplicated. The chunked index builds one per immutable chunk at
+// chunk-build time, so a predicate-filtered cursor can reject a whole
+// chunk — no posting decoded, no attribute list scanned — when a required
+// key is absent. Has is a binary search and answers "absent" for every
+// key no element carries; only a 64-bit hash collision can admit a chunk
+// wrongly, and the per-entry predicate check above the cursor re-tests
+// whatever a set admits. Memory is 8 B per distinct key. See DESIGN.md
+// §3.5.
+type AttrKeySet []uint64
 
-// attrSummaryBits is the filter width in bits (4 × 64).
-const attrSummaryBits = 256
-
-// Add inserts a key hash, setting two derived bits (classic double
-// hashing: the low and high halves of the 64-bit key index independent
-// bit positions).
-func (s *AttrSummary) Add(h uint64) {
-	b1 := h % attrSummaryBits
-	b2 := (h >> 32) % attrSummaryBits
-	s[b1/64] |= 1 << (b1 % 64)
-	s[b2/64] |= 1 << (b2 % 64)
-}
-
-// MayContain reports whether the key hash may have been added: false
-// means definitely absent (both derived bits cannot be set by accident
-// of a single other key only when the filter is sparse — collisions make
-// this "maybe", never a lost key).
-func (s AttrSummary) MayContain(h uint64) bool {
-	b1 := h % attrSummaryBits
-	b2 := (h >> 32) % attrSummaryBits
-	return s[b1/64]&(1<<(b1%64)) != 0 && s[b2/64]&(1<<(b2%64)) != 0
-}
-
-// Empty reports a filter with no keys at all (a chunk of attribute-free
-// elements): every existence predicate is definitely absent.
-func (s AttrSummary) Empty() bool { return s == AttrSummary{} }
-
-// AddNode inserts every attribute of one element: the name key and the
-// name=value key.
-func (s *AttrSummary) AddNode(n *xmldom.Node) {
-	for _, a := range n.Attrs() {
-		s.Add(AttrKeyHash(a.Name))
-		s.Add(AttrKVHash(a.Name, a.Value))
+// KeySetOf builds the key set of a run of entries. The keys are counted
+// first, so the set is filled in one pass and returned in a slice sized
+// to its distinct keys; attribute-free runs get a nil set.
+func KeySetOf(es []Entry) AttrKeySet {
+	n := 0
+	for _, e := range es {
+		n += 2 * len(e.Node.Attrs())
 	}
+	if n == 0 {
+		return nil
+	}
+	// A default-size chunk of single-attribute elements fits the stack
+	// buffer; only the exact copy below reaches the heap.
+	var stack [512]uint64
+	keys := stack[:0]
+	if n > len(stack) {
+		keys = make([]uint64, 0, n)
+	}
+	for _, e := range es {
+		for _, a := range e.Node.Attrs() {
+			keys = append(keys, AttrKeyHash(a.Name), AttrKVHash(a.Name, a.Value))
+		}
+	}
+	slices.Sort(keys)
+	return append(AttrKeySet(nil), slices.Compact(keys)...)
+}
+
+// Has reports whether the set holds the key hash.
+func (s AttrKeySet) Has(h uint64) bool {
+	_, ok := slices.BinarySearch(s, h)
+	return ok
 }
 
 // FNV-1a constants (64-bit).

@@ -42,12 +42,13 @@ type OpenSeeker interface {
 // consumer that will drop every entry lacking one of the required
 // attribute keys (hashes from AttrKeyHash/AttrKVHash, conjunctive)
 // declares them up front, and a chunk-aware cursor may then skip any
-// chunk whose attribute summary proves a required key absent — the
+// chunk whose attribute key set (AttrKeySet) lacks a required key — the
 // entries are never decoded. The filtered stream is a superset of the
-// entries passing the predicates (summaries have false positives, never
-// false negatives), so the consumer must still test each entry; it is
-// NOT a complete stream of the tag, which is why the filter is opt-in
-// per cursor rather than part of the Seek contract.
+// entries passing the predicates (a chunk may hold the required keys on
+// different entries, or admit one by hash collision, but never drops a
+// carrier), so the consumer must still test each entry; it is NOT a
+// complete stream of the tag, which is why the filter is opt-in per
+// cursor rather than part of the Seek contract.
 type ChunkFilter interface {
 	Cursor
 	FilterChunks(required []uint64)

@@ -26,8 +26,9 @@ package document
 // (fence-directory jumps on the chunked index) — then yields as Next
 // does. Seeking at or behind the current position degrades to Next,
 // because every buffered head already sits at or past the last yielded
-// entry. Like its branches, the merged cursor is single-use and not safe
-// for concurrent use.
+// entry. A ChunkFilter installed on the merged cursor forwards to every
+// branch that takes one. Like its branches, the merged cursor is
+// single-use and not safe for concurrent use.
 func Merge(branches ...Cursor) Cursor {
 	live := make([]Cursor, 0, len(branches))
 	for _, b := range branches {
@@ -127,6 +128,24 @@ func (m *linearMergeCursor) Seek(begin uint64) (Entry, bool) {
 	}
 	m.heads = kept
 	return m.Next()
+}
+
+// FilterChunks implements ChunkFilter by forwarding the required keys to
+// every branch that takes them (see filterBranches).
+func (m *linearMergeCursor) FilterChunks(required []uint64) { filterBranches(m.branches, required) }
+
+// FilterChunks implements ChunkFilter; see filterBranches.
+func (m *mergeCursor) FilterChunks(required []uint64) { filterBranches(m.branches, required) }
+
+// filterBranches installs a chunk filter on every branch that implements
+// ChunkFilter. A branch that ignores it still yields its full stream, so
+// the merge stays a superset of the matching entries either way.
+func filterBranches(branches []Cursor, required []uint64) {
+	for _, b := range branches {
+		if cf, ok := b.(ChunkFilter); ok {
+			cf.FilterChunks(required)
+		}
+	}
 }
 
 // mergeHead is one branch's buffered entry in the heap.

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -19,6 +20,11 @@ const DefaultChunkSize = 256
 // build replacement chunks and share the rest.
 type chunk struct {
 	entries []document.Entry // 1 <= len <= chunkSize
+
+	// keys is the exact attribute key set of the entries, built with the
+	// chunk; predicate-filtered cursors binary-search it to reject the
+	// chunk before decoding a posting.
+	keys document.AttrKeySet
 
 	// sum caches the chunk's content digest (hash.go), computed lazily
 	// at most once — immutability makes the cache safe to share across
@@ -48,17 +54,14 @@ type fence struct {
 	maxEnd uint64
 }
 
-// postings is one tag's chunked posting list: parallel fence, summary
-// and chunk arrays (the directory; fences[i] and sums[i] describe
-// chunks[i]) plus the entry total. A patch copies the directory —
-// pointer-free fence and summary bytes plus one pointer per chunk — and
-// the chunks it touches; everything else is shared between versions.
-// The summaries are per-chunk attribute blooms (document.AttrSummary)
-// computed once when an immutable chunk is built; predicate-filtered
-// cursors consult them to reject whole chunks before decoding postings.
+// postings is one tag's chunked posting list: parallel fence and chunk
+// arrays (the directory; fences[i] describes chunks[i]) plus the entry
+// total. A patch copies the directory — pointer-free fence bytes plus one
+// pointer per chunk — and the chunks it touches; everything else is
+// shared between versions. Each chunk carries its own attribute key set,
+// so a shared chunk shares its set too.
 type postings struct {
 	fences []fence
-	sums   []document.AttrSummary
 	chunks []*chunk
 	count  int
 
@@ -73,7 +76,6 @@ type postings struct {
 // builder accumulates a directory during a patch pass.
 type builder struct {
 	fences []fence
-	sums   []document.AttrSummary
 	chunks []*chunk
 }
 
@@ -81,34 +83,29 @@ type builder struct {
 func grown(n int) builder {
 	return builder{
 		fences: make([]fence, 0, n),
-		sums:   make([]document.AttrSummary, 0, n),
 		chunks: make([]*chunk, 0, n),
 	}
 }
 
-// share appends an existing chunk with its fence and summary unchanged.
-func (b *builder) share(f fence, s document.AttrSummary, c *chunk) {
+// share appends an existing chunk with its fence unchanged.
+func (b *builder) share(f fence, c *chunk) {
 	b.fences = append(b.fences, f)
-	b.sums = append(b.sums, s)
 	b.chunks = append(b.chunks, c)
 }
 
 // add wraps a fresh entry run as one chunk and computes its fence and
-// attribute summary. This is the one place chunk metadata is born: a
+// attribute key set. This is the one place chunk metadata is born: a
 // rebuilt chunk re-reads its entries' labels and attributes, so fences
-// and summaries published by Apply are always exact for their entries.
+// and key sets published by Apply are always exact for their entries.
 func (b *builder) add(es []document.Entry) {
-	c := &chunk{entries: es}
+	c := &chunk{entries: es, keys: document.KeySetOf(es)}
 	f := fence{min: c.minBegin(), max: c.maxBegin()}
-	var s document.AttrSummary
 	for _, e := range es {
 		if e.Label.End > f.maxEnd {
 			f.maxEnd = e.Label.End
 		}
-		s.AddNode(e.Node)
 	}
 	b.fences = append(b.fences, f)
-	b.sums = append(b.sums, s)
 	b.chunks = append(b.chunks, c)
 }
 
@@ -136,7 +133,7 @@ func (b *builder) addRun(es []document.Entry, size int) {
 
 // posting finalizes the builder into a postings value.
 func (b *builder) postings() *postings {
-	p := &postings{fences: b.fences, sums: b.sums, chunks: b.chunks}
+	p := &postings{fences: b.fences, chunks: b.chunks}
 	for _, c := range b.chunks {
 		p.count += len(c.entries)
 	}
@@ -190,7 +187,7 @@ func mergeUnderflow(b builder, size int) builder {
 	out := grown(len(b.chunks))
 	for i := 0; i < len(b.chunks); {
 		if len(b.chunks[i].entries) >= min {
-			out.share(b.fences[i], b.sums[i], b.chunks[i])
+			out.share(b.fences[i], b.chunks[i])
 			i++
 			continue
 		}
@@ -203,7 +200,6 @@ func mergeUnderflow(b builder, size int) builder {
 		if len(run) < min && len(out.chunks) > 0 {
 			prev := out.chunks[len(out.chunks)-1]
 			out.fences = out.fences[:len(out.fences)-1]
-			out.sums = out.sums[:len(out.sums)-1]
 			out.chunks = out.chunks[:len(out.chunks)-1]
 			run = append(append([]document.Entry(nil), prev.entries...), run...)
 		}
@@ -216,10 +212,10 @@ func mergeUnderflow(b builder, size int) builder {
 // the entries (min/max begin exact, maxEnd covering every entry's end),
 // sizes stay within [size/4, size] (the floor waived for a tag's only
 // chunk), begins strictly increase within and across chunks, the
-// attribute summary holds every key actually present in the chunk (a
-// lost key would make predicate pushdown silently drop matches, so it
-// is checked loudly here), and the directory count matches the entry
-// total.
+// attribute key set equals the one recomputed from the entries (a lost
+// key would make predicate pushdown silently drop matches, an extra one
+// would admit chunks for nothing, so both are checked loudly here), and
+// the directory count matches the entry total.
 func (p *postings) checkChunks(tag string, size int, sumsFresh bool) error {
 	min := size / 4
 	if min < 1 {
@@ -227,9 +223,6 @@ func (p *postings) checkChunks(tag string, size int, sumsFresh bool) error {
 	}
 	if len(p.fences) != len(p.chunks) {
 		return fmt.Errorf("index: tag %q has %d fences for %d chunks", tag, len(p.fences), len(p.chunks))
-	}
-	if len(p.sums) != len(p.chunks) {
-		return fmt.Errorf("index: tag %q has %d attr summaries for %d chunks", tag, len(p.sums), len(p.chunks))
 	}
 	total := 0
 	prev := uint64(0)
@@ -259,17 +252,20 @@ func (p *postings) checkChunks(tag string, size int, sumsFresh bool) error {
 			}
 			if sumsFresh {
 				for _, a := range e.Node.Attrs() {
-					if !p.sums[i].MayContain(document.AttrKeyHash(a.Name)) {
-						return fmt.Errorf("index: tag %q chunk %d summary lost attr key %q", tag, i, a.Name)
+					if !c.keys.Has(document.AttrKeyHash(a.Name)) {
+						return fmt.Errorf("index: tag %q chunk %d key set lost attr key %q", tag, i, a.Name)
 					}
-					if !p.sums[i].MayContain(document.AttrKVHash(a.Name, a.Value)) {
-						return fmt.Errorf("index: tag %q chunk %d summary lost attr pair %s=%q", tag, i, a.Name, a.Value)
+					if !c.keys.Has(document.AttrKVHash(a.Name, a.Value)) {
+						return fmt.Errorf("index: tag %q chunk %d key set lost attr pair %s=%q", tag, i, a.Name, a.Value)
 					}
 				}
 			}
 			prev = e.Label.Begin
 			first = false
 			total++
+		}
+		if sumsFresh && !slices.Equal(c.keys, document.KeySetOf(c.entries)) {
+			return fmt.Errorf("index: tag %q chunk %d key set holds an extra key or is not sorted and de-duplicated", tag, i)
 		}
 	}
 	if total != p.count {
@@ -285,30 +281,30 @@ func (p *postings) checkChunks(tag string, size int, sumsFresh bool) error {
 //
 //   - FilterChunks (predicate pushdown): required attribute-key hashes,
 //     installed by the query layer for a predicate-bearing step; a chunk
-//     whose summary proves any required key absent is rejected whole.
+//     whose exact key set lacks any required key is rejected whole.
 //   - SeekOpen (zig-zag context skip): discards chunks whose maxEnd
 //     fence proves every interval closed before the target.
 type chunkCursor struct {
 	fences    []fence
-	sums      []document.AttrSummary
 	chunks    []*chunk
 	required  []uint64     // conjunctive attr-key hashes; nil = no pushdown
 	stats     *CursorStats // optional skip/decode accounting; nil = off
-	sumsStale bool         // summaries predate an attr mutation: ignore them
+	sumsStale bool         // key sets predate an attr mutation: ignore them
 	ci        int          // current chunk
 	ei        int          // next entry within it
 	decoded   int          // last chunk counted as decoded (stats), -1 none
 }
 
 // FilterChunks implements document.ChunkFilter: install the required
-// attribute-key hashes. The resulting stream omits chunks that provably
-// contain no entry carrying every key — a superset of the matching
-// entries, not the full tag stream. When the version's summaries are
+// attribute-key hashes. The resulting stream omits every chunk whose key
+// set lacks a required key — a superset of the matching entries (a chunk
+// may hold each key on a different entry, or admit one by a 64-bit hash
+// collision), not the full tag stream. When the version's key sets are
 // stale (an attribute mutated below the document layer since the last
-// full build), the install is a no-op: a stale summary can hold false
-// negatives, and a skipped chunk is a silently dropped match — so the
-// cursor serves the full stream and leaves filtering to the per-entry
-// predicate check above it.
+// full build), the install is a no-op: a stale set can miss a key, and a
+// skipped chunk is a silently dropped match — so the cursor serves the
+// full stream and leaves filtering to the per-entry predicate check
+// above it.
 func (c *chunkCursor) FilterChunks(required []uint64) {
 	if c.sumsStale {
 		return
@@ -316,11 +312,11 @@ func (c *chunkCursor) FilterChunks(required []uint64) {
 	c.required = required
 }
 
-// passes reports whether chunk i may contain entries with every required
-// attribute key.
+// passes reports whether chunk i holds every required attribute key:
+// one binary search of its key set per key.
 func (c *chunkCursor) passes(i int) bool {
 	for _, h := range c.required {
-		if !c.sums[i].MayContain(h) {
+		if !c.chunks[i].keys.Has(h) {
 			return false
 		}
 	}

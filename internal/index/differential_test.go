@@ -20,8 +20,14 @@ func mutate(t *testing.T, d *document.Doc, rng *rand.Rand, tags []string) {
 	els := d.Elements("*")
 	n := els[rng.Intn(len(els))]
 	switch op := rng.Intn(12); {
-	case op < 6: // insert a fresh element
-		if _, err := d.InsertElement(n, rng.Intn(n.NumChildren()+1), tags[rng.Intn(len(tags))]); err != nil {
+	case op < 6: // insert a fresh element, attributed on every other size
+		// The attribute is derived from the document size, not drawn from
+		// rng, so the mutation sequence is the same with or without it.
+		var attrs []xmldom.Attr
+		if len(els)%2 == 0 {
+			attrs = []xmldom.Attr{{Name: "id", Value: fmt.Sprintf("v%d", len(els)%5)}}
+		}
+		if _, err := d.InsertElement(n, rng.Intn(n.NumChildren()+1), tags[rng.Intn(len(tags))], attrs...); err != nil {
 			t.Fatal(err)
 		}
 	case op < 7: // paste a small subtree
@@ -108,6 +114,11 @@ func TestDifferentialChunkedVsFlat(t *testing.T) {
 						}
 					}(prev, prev.Len())
 				}
+			}
+			// Attributes arrived through the document layer, so Verify
+			// checked every chunk's key set for exactness on every batch.
+			if !ix.SummariesFresh() {
+				t.Fatal("key sets went stale: Verify skipped their exactness check")
 			}
 		})
 	}

@@ -51,7 +51,7 @@ func (d *digest) add(o digest) {
 // entryDigest hashes one posting's content. Node identity is pointer-
 // valued and process-local, so it never enters the hash: the label
 // pair and level are what replicas must agree on. Fences are derived
-// from entry labels and attr summaries from node attributes, so
+// from entry labels and attr key sets from node attributes, so
 // neither is hashed separately — a fence that disagrees with its
 // entries is caught by checkChunks, not the digest.
 func entryDigest(e document.Entry) digest {

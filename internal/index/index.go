@@ -37,16 +37,16 @@ type Index struct {
 	tags      map[string]*postings
 	chunkSize int // inherited by every version derived with Apply
 
-	// sumRoot/sumGen pin the chunk attribute summaries' validity: the
+	// sumRoot/sumGen pin the chunk attribute key sets' validity: the
 	// document root and its attribute-mutation generation
 	// (xmldom.Node.AttrGen) captured at the last full build. A raw
 	// SetAttr below the document layer moves the root's generation, and a
-	// summary computed before it may falsely claim the new attribute
+	// key set computed before it may falsely claim the new attribute
 	// absent — so Cursor disables predicate pushdown (FilterChunks
 	// becomes a no-op) whenever the generations disagree: queries fall
 	// back to per-entry predicate checks, trading the skip optimization
 	// for correctness until the next full build re-captures the
-	// generation. Chunks patched by Apply recompute their summaries, but
+	// generation. Chunks patched by Apply recompute their key sets, but
 	// shared chunks reach back to the last full build, so Apply inherits
 	// the baseline unchanged. A nil sumRoot (Index built via From, no
 	// document in sight) leaves pushdown on — such callers own their
@@ -68,14 +68,14 @@ type Index struct {
 // CursorStats accumulates chunk-granular work accounting across every
 // cursor of an index version: chunks whose entries were actually decoded
 // vs chunks discarded whole — by the Seek fence search, by a predicate
-// pushdown summary rejection, or by a SeekOpen maxEnd skip. Counters are
+// pushdown key-set rejection, or by a SeekOpen maxEnd skip. Counters are
 // atomic so concurrent cursors may share one CursorStats; increments
 // happen at chunk granularity (at most once per ~chunkSize entries), so
 // the accounting is effectively free.
 type CursorStats struct {
 	Decoded       atomic.Uint64 // chunks at least one entry was read from
 	SkippedSeek   atomic.Uint64 // chunks jumped by Seek's begin-fence search
-	SkippedFilter atomic.Uint64 // chunks rejected by the attribute summary
+	SkippedFilter atomic.Uint64 // chunks rejected by the attribute key set
 	SkippedEnd    atomic.Uint64 // chunks discarded by SeekOpen's maxEnd fence
 }
 
@@ -156,7 +156,8 @@ func (ix *Index) Postings(tag string) []document.Entry {
 // document.Merge of every tag's chunked cursor: begin order is document
 // order, so the per-tag runs merge into it without any per-version
 // flatten or sort. Opening it costs one head per tag, its Seek fans out
-// to each tag's fence search, and it supports neither extension.
+// to each tag's fence search, and its FilterChunks forwards to every
+// tag's cursor; it does not support SeekOpen.
 func (ix *Index) Cursor(tag string) document.Cursor {
 	if tag == "*" {
 		// Begins are unique within a version, so the merge's tie-break
@@ -172,14 +173,14 @@ func (ix *Index) Cursor(tag string) document.Cursor {
 		return document.NewSliceCursor(nil)
 	}
 	return &chunkCursor{
-		fences: p.fences, sums: p.sums, chunks: p.chunks, stats: ix.stats,
+		fences: p.fences, chunks: p.chunks, stats: ix.stats,
 		sumsStale: !ix.SummariesFresh(),
 	}
 }
 
-// SummariesFresh reports whether the chunk attribute summaries are still
+// SummariesFresh reports whether the chunk attribute key sets are still
 // exact: no attribute mutated below the document root since the last
-// full build captured the generation. Stale summaries may hold false
+// full build captured the generation. Stale key sets may hold false
 // negatives, so cursors stop honoring FilterChunks until a full rebuild.
 func (ix *Index) SummariesFresh() bool {
 	return ix.sumRoot == nil || ix.sumRoot.AttrGen() == ix.sumGen
@@ -345,9 +346,9 @@ func Verify(ix *Index, d *document.Doc) error {
 
 // CheckChunks validates the chunk invariants of every tag (see
 // postings.checkChunks): fences agree with entries, chunk sizes stay in
-// bounds, begins strictly increase. The attribute-summary exactness
-// check is waived when the summaries are known stale (a raw SetAttr
-// since the last full build) — a stale summary is allowed to be wrong
+// bounds, begins strictly increase. The attribute key-set exactness
+// check is waived when the key sets are known stale (a raw SetAttr
+// since the last full build) — a stale key set is allowed to be wrong
 // precisely because cursors no longer consult it.
 func (ix *Index) CheckChunks() error {
 	fresh := ix.SummariesFresh()
@@ -452,7 +453,7 @@ func (ix *Index) patchTag(d *document.Doc, tag string, eff *tagEffect, ch *docum
 		}
 		switch {
 		case hi == fi && !refreshed:
-			b.share(old.fences[i], old.sums[i], c)
+			b.share(old.fences[i], c)
 		case hi == fi:
 			b.add(es)
 		default:
@@ -466,7 +467,7 @@ func (ix *Index) patchTag(d *document.Doc, tag string, eff *tagEffect, ch *docum
 		rest := fresh[fi:]
 		if n := len(b.chunks); n > 0 {
 			last := b.chunks[n-1]
-			b.fences, b.sums, b.chunks = b.fences[:n-1], b.sums[:n-1], b.chunks[:n-1]
+			b.fences, b.chunks = b.fences[:n-1], b.chunks[:n-1]
 			b.addRun(mergeRuns(last.entries, rest), ix.chunkSize)
 		} else {
 			b.addRun(rest, ix.chunkSize)

@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -216,9 +217,10 @@ func TestAllFlattens(t *testing.T) {
 }
 
 // TestVerifyCatchesFenceCorruption: the pushdown invariants added to
-// checkChunks are live — an understated maxEnd fence or a summary that
-// disclaims a present attribute must fail Verify. (Soundness of chunk
-// skipping depends on exactly these two properties.)
+// checkChunks are live — an understated maxEnd fence, a key set that
+// disclaims a present attribute, or a key set holding a key no entry
+// carries must fail Verify. (Soundness of chunk skipping depends on the
+// first two; the third keeps the set exact.)
 func TestVerifyCatchesFenceCorruption(t *testing.T) {
 	d := loadTracked(t, `<r><a id="v1"/><a/><a cat="rare"/><a/><a role="v2"/></r>`)
 	ix := BuildSized(d, 2)
@@ -237,12 +239,16 @@ func TestVerifyCatchesFenceCorruption(t *testing.T) {
 	}
 	p.fences[0].maxEnd = saved
 
-	savedSum := p.sums[0]
-	p.sums[0] = document.AttrSummary{}
-	if err := Verify(ix, d); err == nil || !strings.Contains(err.Error(), "summary") {
-		t.Fatalf("cleared attr summary not caught: %v", err)
+	savedKeys := p.chunks[0].keys
+	p.chunks[0].keys = nil
+	if err := Verify(ix, d); err == nil || !strings.Contains(err.Error(), "lost") {
+		t.Fatalf("cleared attr key set not caught: %v", err)
 	}
-	p.sums[0] = savedSum
+	p.chunks[0].keys = append(slices.Clone(savedKeys), ^uint64(0))
+	if err := Verify(ix, d); err == nil || !strings.Contains(err.Error(), "extra key") {
+		t.Fatalf("attr key set with an extra key not caught: %v", err)
+	}
+	p.chunks[0].keys = savedKeys
 	if err := Verify(ix, d); err != nil {
 		t.Fatalf("restored index failed verify: %v", err)
 	}

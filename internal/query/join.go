@@ -104,8 +104,8 @@ func stepCursor(idx Index, st Step) document.Cursor {
 
 // stepCursorOpt is the production step stream: on a predicate-bearing
 // step it pushes the required attribute keys below the fence directory
-// (the cursor then rejects whole chunks whose summary proves a key
-// absent, before decoding a posting) and installs the step's shared
+// (the cursor then rejects whole chunks whose key set lacks a required
+// key, before decoding a posting) and installs the step's shared
 // verdict memo when the evaluation carries one.
 func stepCursorOpt(idx Index, st Step, o EvalOptions, memos map[string]map[*xmldom.Node]bool) document.Cursor {
 	cur := idx.Cursor(st.Tag)

@@ -40,7 +40,7 @@ func JoinCursor(idx Index, p *Path) document.Cursor {
 // for baselines, benchmarks and differential fuzzing.
 type EvalOptions struct {
 	// DisablePushdown keeps predicate evaluation entry-by-entry: no
-	// chunk-level attribute-summary rejection below the fence directory.
+	// chunk-level attribute key-set rejection below the fence directory.
 	DisablePushdown bool
 	// DisableZigzag keeps the context side of every structural join
 	// pulled linearly (the PR-4 behavior): only the candidate side
