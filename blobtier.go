@@ -178,21 +178,17 @@ func LoadAt(w WALBackend, seq uint64) (*Store, error) {
 //
 // The blob tier must mirror this same WAL (the leader's AttachBlobTier
 // with the same prefix); a tier from a different log surfaces as a
-// sequence gap, and a leader log repair (re-base) during the bootstrap
-// aborts it — retry to re-seed from the repaired checkpoint.
+// sequence gap.
 func OpenFollowerSeeded(w WALBackend, bs BlobStore, prefix string) (*Follower, error) {
 	sh, err := storage.NewShipper(w)
 	if err != nil {
 		return nil, fmt.Errorf("ltree: open seeded follower: %w", err)
 	}
 	src := w.(storage.TailSource) // NewShipper proved the assertion
-	// Freeze log truncation across the bootstrap and pin the re-base
-	// count before reading any blob state: if the count is unchanged
-	// after the live tail attaches, the blob history we replayed is a
-	// prefix of the stream the tailer continues.
+	// Freeze log truncation across the bootstrap, so the live tail can
+	// attach wherever the blob history ends.
 	guard := src.Retain(0)
 	defer guard.Release()
-	rebase0 := src.Rebases()
 
 	seq, snap, err := storage.BlobLatest(bs, prefix)
 	if err != nil {
@@ -212,12 +208,5 @@ func OpenFollowerSeeded(w WALBackend, bs BlobStore, prefix string) (*Follower, e
 	if err != nil {
 		return nil, fmt.Errorf("ltree: open seeded follower: blob replay: %w", err)
 	}
-	tail := sh.Tail(end)
-	if src.Rebases() != rebase0 {
-		// The leader repaired its log while we replayed blob history; the
-		// blob state may describe the pre-repair stream.
-		tail.Close()
-		return nil, fmt.Errorf("ltree: open seeded follower: leader log re-based during bootstrap: %w", storage.ErrShipRebased)
-	}
-	return startFollower(st, src, tail, end), nil
+	return startFollower(st, src, sh.Tail(end), end), nil
 }

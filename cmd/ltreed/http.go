@@ -136,7 +136,6 @@ func (l *leaderNode) Stats() map[string]any {
 	m := map[string]any{
 		"role":          "leader",
 		"seq":           l.src.Seq(),
-		"rebases":       l.src.Rebases(),
 		"index_version": rs.IndexVersion,
 		"root_hash":     fmt.Sprintf("%x", l.RootHash()),
 		"txn_open":      rs.TxnOpen,
@@ -509,10 +508,13 @@ func (h *handler) deleteDoc(w http.ResponseWriter, r *http.Request) {
 
 // writeErr maps write-path errors onto HTTP statuses: follower refusals
 // are 403, non-forest document routing is 501, a missing document is
-// 404, everything else is the caller's fault.
+// 404, a store fenced by a storage error is 503, everything else is the
+// caller's fault.
 func writeErr(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	switch {
+	case errors.Is(err, ltree.ErrFenced):
+		status = http.StatusServiceUnavailable
 	case errors.Is(err, errReadOnly):
 		status = http.StatusForbidden
 	case errors.Is(err, errNotForest):

@@ -7,6 +7,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -453,4 +454,52 @@ func TestHealthz(t *testing.T) {
 func jsonUint(v uint64) string {
 	b, _ := json.Marshal(v)
 	return string(b)
+}
+
+// failOnceWAL fails the next append when fail is set.
+type failOnceWAL struct {
+	ltree.WALBackend
+	fail bool
+}
+
+func (f *failOnceWAL) AppendBatch(p []byte) (uint64, error) {
+	if f.fail {
+		f.fail = false
+		return 0, errors.New("injected append failure")
+	}
+	return f.WALBackend.AppendBatch(p)
+}
+
+// TestFencedLeaderWrite503: a leader whose WAL append fails is fenced,
+// and its writes answer 503 — a server fault, not the client's — while
+// reads keep serving. The second insert reaches a healthy WAL, so only
+// the fence can refuse it.
+func TestFencedLeaderWrite503(t *testing.T) {
+	st, err := ltree.OpenString(`<shop/>`, ltree.DefaultParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := ltree.NewWALBackend(t.TempDir(), ltree.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	flaky := &failOnceWAL{WALBackend: w}
+	if err := st.WithWAL(flaky); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(newHandler(&leaderNode{Store: st, src: w.(storage.TailSource)}, time.Second))
+	defer srv.Close()
+
+	flaky.fail = true
+	for i, what := range []string{"failed append", "write after the fence"} {
+		resp, body := doReq(t, srv, http.MethodPost, "/v1/insert?parent=//shop", `<item/>`)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("insert %d (%s): status %d, want 503: %s", i, what, resp.StatusCode, body)
+		}
+	}
+	var res resultJSON
+	if resp := getJSON(t, srv, "/v1/query?q=//item", &res); resp.StatusCode != http.StatusOK || res.Count != 0 {
+		t.Fatalf("query on a fenced leader: status %d, %d items, want 200 and 0", resp.StatusCode, res.Count)
+	}
 }

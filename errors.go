@@ -55,11 +55,14 @@ var (
 	// (an empty backend has none; LoadAt names one that is not durable).
 	ErrNoVersion = storage.ErrNoVersion
 
-	// ErrShipRebased reports that a leader's log was re-based past a
-	// lost batch (a repair Checkpoint): the shipped op stream can no
-	// longer reconstruct the store, and followers must re-seed from the
-	// newest checkpoint. Surfaces from Follower.WaitFor/Promote/Stats.
-	ErrShipRebased = storage.ErrShipRebased
+	// ErrFenced reports a write to a fenced store. A commit, Checkpoint
+	// or Compact that fails after it has mutated the document — a WAL
+	// append, fsync or checkpoint error, or an index patch rejecting the
+	// batch — fences the store: that batch is neither published nor
+	// logged, index reads keep serving the last committed version, and
+	// every later write (and Snapshot) returns ErrFenced wrapped around
+	// the first cause. Reopening the store (LoadLatest) is the repair.
+	ErrFenced = errors.New("ltree: store fenced after a failed commit; reopen it to recover")
 )
 
 // Replication sentinels (follower.go, watch.go).

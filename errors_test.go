@@ -120,7 +120,7 @@ func TestErrorsDistinct(t *testing.T) {
 		"ErrTxnClosed":        ltree.ErrTxnClosed,
 		"ErrVersionRetired":   ltree.ErrVersionRetired,
 		"ErrNoVersion":        ltree.ErrNoVersion,
-		"ErrShipRebased":      ltree.ErrShipRebased,
+		"ErrFenced":           ltree.ErrFenced,
 		"ErrFollowerClosed":   ltree.ErrFollowerClosed,
 		"ErrWaitTimeout":      ltree.ErrWaitTimeout,
 		"ErrReplicaDiverged":  ltree.ErrReplicaDiverged,

@@ -28,14 +28,11 @@ import (
 // committing behind them just like a leader-side writer would. A
 // follower observes the leader's *durable* prefix: with group commit
 // (WALOptions.SyncEvery > 1) a batch becomes visible here at the next
-// flush, and a batch the leader's log lost (a failed append later
-// repaired by Checkpoint) never arrives — the repairing checkpoint
-// marks the log re-based, every attached follower stops with
-// storage.ErrShipRebased in Stats().Err rather than follow a stream
-// that no longer reconstructs the leader, and a fresh OpenFollower
-// re-seeds from the repair checkpoint. A follower likewise stops (with
+// flush, and a batch whose append failed never arrives — the leader
+// fences itself (ErrFenced) and appends nothing after it, so an attached
+// follower stays at the last durable batch. A follower stops (with
 // storage.ErrSourceClosed) when the leader closes its WAL; already-
-// applied state stays readable either way.
+// applied state stays readable.
 //
 // A Follower's methods are safe for concurrent use. Close detaches it;
 // Promote turns it into the writable store on leader handoff.
@@ -73,7 +70,7 @@ type FollowerStats struct {
 	// Err, for liveness.
 	Running bool
 	// Err is the terminal error that stopped replication
-	// (storage.ErrShipRebased, storage.ErrSourceClosed, an apply
+	// (storage.ErrSourceClosed, a poisoned leader log, an apply
 	// failure); nil while healthy and also nil after a clean
 	// Close/Promote — liveness is Running's job.
 	Err error
@@ -297,18 +294,6 @@ func (f *Follower) Promote() (*Store, error) {
 	if err != nil {
 		f.fail(err)
 		return nil, fmt.Errorf("ltree: promote: drain: %w", err)
-	}
-	// Post-drain re-base check, mirroring Tailer.fill's post-sweep check:
-	// a repair checkpoint racing the handoff re-bases the log, and the
-	// leader marks the re-base strictly before any post-repair append —
-	// so a count still at the attach-time baseline *after* the drain
-	// proves the drained stream reconstructs the old leader. Without
-	// this, the promoted store could incorporate a stream that no longer
-	// does.
-	if f.src.Rebases() != f.tail.RebaseBaseline() {
-		err := fmt.Errorf("ltree: promote: log re-based during drain: %w", storage.ErrShipRebased)
-		f.fail(err)
-		return nil, err
 	}
 	return f.st, nil
 }

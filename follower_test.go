@@ -389,30 +389,11 @@ func TestFollowerPromote(t *testing.T) {
 	}
 }
 
-// lossyWAL injects one append failure while still exposing the full
-// tail-source capability set (it embeds the concrete *storage.WAL, so
-// Retain/AppendWatch/MarkRebased promote through).
-type lossyWAL struct {
-	*storage.WAL
-	failNext bool
-}
-
-func (l *lossyWAL) AppendBatch(p []byte) (uint64, error) {
-	if l.failNext {
-		l.failNext = false
-		return 0, errInjected
-	}
-	return l.WAL.AppendBatch(p)
-}
-
-// TestFollowerStopsOnLeaderLogRepair pins the lost-batch story end to
-// end: the leader loses a batch (failed append), suspends, and repairs
-// via Checkpoint — which re-bases the log. An attached follower must
-// stop with ErrShipRebased (its stream can no longer reconstruct the
-// leader) while keeping its last applied state readable; a fresh
-// follower re-seeds from the repair checkpoint and sees everything,
-// including the batch the log lost.
-func TestFollowerStopsOnLeaderLogRepair(t *testing.T) {
+// TestFollowerAfterLeaderFence: a leader whose append fails fences
+// itself and logs nothing more, so an attached follower is left exactly
+// at the last durable batch — still running, no error — and holds what
+// reopening the leader's log recovers.
+func TestFollowerAfterLeaderFence(t *testing.T) {
 	leader, err := ltree.OpenString(replaySeedDoc, ltree.DefaultParams)
 	if err != nil {
 		t.Fatal(err)
@@ -422,8 +403,8 @@ func TestFollowerStopsOnLeaderLogRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer inner.Close()
-	lossy := &lossyWAL{WAL: inner}
-	if err := leader.WithWAL(lossy); err != nil {
+	flaky := &flakyWAL{WALBackend: inner}
+	if err := leader.WithWAL(flaky); err != nil {
 		t.Fatal(err)
 	}
 	f, err := ltree.OpenFollower(inner)
@@ -435,109 +416,31 @@ func TestFollowerStopsOnLeaderLogRepair(t *testing.T) {
 	if _, err := leader.InsertElement(leader.Root(), 0, "logged"); err != nil {
 		t.Fatal(err)
 	}
+	flaky.failNext = true
+	if _, err := leader.InsertElement(leader.Root(), 0, "lost"); !errors.Is(err, ltree.ErrFenced) {
+		t.Fatalf("failed append: err=%v, want ErrFenced", err)
+	}
+	if _, err := leader.InsertElement(leader.Root(), 0, "after"); !errors.Is(err, ltree.ErrFenced) {
+		t.Fatalf("write on a fenced leader: err=%v, want ErrFenced", err)
+	}
+
 	if err := f.WaitFor(inner.Seq(), waitTimeout); err != nil {
 		t.Fatal(err)
 	}
-
-	// Lose a batch, then repair: the checkpoint covers state the log
-	// never got, so the shipped stream is re-based.
-	lossy.failNext = true
-	if _, err := leader.InsertElement(leader.Root(), 0, "lost"); err == nil {
-		t.Fatal("lost append reported no error")
+	if st := f.Stats(); st.Err != nil || !st.Running || st.AppliedSeq != inner.Seq() {
+		t.Fatalf("Stats() = %+v, want running at seq %d with no error", st, inner.Seq())
 	}
-	if _, err := leader.Checkpoint(); err != nil {
-		t.Fatalf("repair checkpoint: %v", err)
-	}
-	if _, err := leader.InsertElement(leader.Root(), 0, "after"); err != nil {
-		t.Fatal(err)
-	}
-
-	// The attached follower stops with the re-base error…
-	if err := f.WaitFor(inner.Seq(), waitTimeout); !errors.Is(err, storage.ErrShipRebased) {
-		t.Fatalf("follower across a log repair: err=%v, want ErrShipRebased", err)
-	}
-	if st := f.Stats(); !errors.Is(st.Err, storage.ErrShipRebased) || st.Running {
-		t.Fatalf("Stats() = (Running=%v, Err=%v), want (false, ErrShipRebased)", st.Running, st.Err)
-	}
-	// …still serving its pre-repair state…
-	if len(f.Elements("logged")) != 1 || len(f.Elements("lost")) != 0 {
-		t.Fatal("stopped follower does not serve its last applied state")
-	}
-	// …and a fresh follower re-seeds from the repair checkpoint, lost
-	// batch included.
-	f2, err := ltree.OpenFollower(inner)
-	if err != nil {
-		t.Fatalf("re-seed: %v", err)
-	}
-	defer f2.Close()
-	if err := f2.WaitFor(inner.Seq(), waitTimeout); err != nil {
-		t.Fatal(err)
-	}
-	for _, tag := range []string{"logged", "lost", "after"} {
-		if len(f2.Elements(tag)) != 1 {
-			t.Fatalf("re-seeded follower missing <%s>", tag)
+	for tag, want := range map[string]int{"logged": 1, "lost": 0, "after": 0} {
+		if got := len(f.Elements(tag)); got != want {
+			t.Fatalf("follower holds %d <%s>, want %d", got, tag, want)
 		}
 	}
-	if got, want := fingerprintOf(t, followerSurface{f2}), fingerprintOf(t, storeSurface{leader}); got != want {
-		t.Fatal("re-seeded follower diverged from leader")
-	}
-}
-
-// rebasingWAL re-bases the log at the start of a ReplaySince drain —
-// the shape of a repair checkpoint racing a leader handoff. Embedding
-// the concrete *storage.WAL keeps ReplayFromPos promoting through, so
-// the tailer's fill path stays on the real fast path and only Promote's
-// synchronous drain hits the override.
-type rebasingWAL struct {
-	*storage.WAL
-	arm atomic.Bool
-}
-
-func (r *rebasingWAL) ReplaySince(since uint64, fn func(uint64, []byte) error) error {
-	if r.arm.CompareAndSwap(true, false) {
-		r.WAL.MarkRebased()
-	}
-	return r.WAL.ReplaySince(since, fn)
-}
-
-// TestPromoteDetectsRebaseDuringDrain is the regression pin for the
-// Promote repair-race: a repair checkpoint that re-bases the log while
-// Promote drains the durable tail means the drained stream no longer
-// reconstructs the old leader, so the handoff must fail with
-// ErrShipRebased instead of returning a silently-divergent store.
-// Pre-fix, Promote skipped the post-drain re-base check that
-// Tailer.fill performs after every sweep, and this test's Promote
-// succeeded.
-func TestPromoteDetectsRebaseDuringDrain(t *testing.T) {
-	leader, inner := openLeader(t, t.TempDir())
-	defer inner.Close()
-	rng := rand.New(rand.NewSource(41))
-	for i := 0; i < 6; i++ {
-		applyBatch(t, leader, planBatch(rng, len(leader.Elements("*"))))
-	}
-
-	rb := &rebasingWAL{WAL: inner}
-	f, err := ltree.OpenFollower(rb)
+	reopened, err := ltree.LoadLatest(inner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	if err := f.WaitFor(inner.Seq(), waitTimeout); err != nil {
-		t.Fatal(err)
-	}
-
-	// Arm the race: the re-base lands inside Promote's drain window.
-	rb.arm.Store(true)
-	if _, err := f.Promote(); !errors.Is(err, storage.ErrShipRebased) {
-		t.Fatalf("promote across a mid-drain re-base: err=%v, want ErrShipRebased", err)
-	}
-	if st := f.Stats(); !errors.Is(st.Err, storage.ErrShipRebased) {
-		t.Fatalf("Stats().Err=%v, want ErrShipRebased", st.Err)
-	}
-	// The failed handoff keeps the replica readable at its last applied
-	// state, same contract as every other terminal replication error.
-	if len(f.Elements("*")) == 0 {
-		t.Fatal("reads stopped working after the failed promote")
+	if got, want := fingerprintOf(t, followerSurface{f}), fingerprintOf(t, storeSurface{reopened}); got != want {
+		t.Fatal("follower diverged from the reopened leader")
 	}
 }
 

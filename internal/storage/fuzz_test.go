@@ -234,15 +234,15 @@ func shipSeeds(tb testing.TB) [][]byte {
 		payload []byte
 	}{
 		{frameHello, uv(wireProto)},
-		{frameHelloOK, uv(wireProto, 5, 1)},
+		{frameHelloOK, uv(wireProto, 5)},
 		{frameReplay, uv(0, wirePage)},
 		{frameRec, append(uv(3), ops...)},
-		{frameReplayEnd, uv(1, 5)},
+		{frameReplayEnd, uv(5)},
 		{frameLatest, nil},
 		{frameLatestOK, append(uv(5), snap.Bytes()...)},
 		{frameRetain, uv(1, 3)},
 		{frameErr, append(uv(ecCorrupt), "gap"...)},
-		{frameNotify, uv(9, 1)},
+		{frameNotify, uv(9)},
 		{frameClosed, nil},
 	} {
 		stream.Write(frameRecord(fr.kind, fr.payload))

@@ -35,9 +35,9 @@ type Lease interface {
 }
 
 // TailSource is the capability set log shipping needs from a WAL backend:
-// the WALBackend surface plus durability notification, segment retention
-// and re-base detection. The built-in *WAL implements it; a WALBackend
-// without these capabilities cannot be tailed live.
+// the WALBackend surface plus durability notification and segment
+// retention. The built-in *WAL implements it; a WALBackend without these
+// capabilities cannot be tailed live.
 type TailSource interface {
 	WALBackend
 	// Seq returns the sequence number of the last appended batch.
@@ -48,17 +48,6 @@ type TailSource interface {
 	AppendWatch() <-chan struct{}
 	// Retain registers a retention lease at seq; see Lease.
 	Retain(seq uint64) Lease
-	// Rebases counts log re-bases: checkpoints covering state the log
-	// lost. A tailer that observes the counter move must stop — the op
-	// stream no longer reconstructs the source's state.
-	Rebases() uint64
-	// MarkRebased bumps the re-base counter; the leader's repair path
-	// (a checkpoint that covers a lost batch) must call it so attached
-	// tailers stop instead of silently diverging. Required here — not
-	// just on the leader side — so a backend followers can attach to is
-	// guaranteed to be markable: a tailable source whose repairs went
-	// unannounced would defeat the whole rebase guard.
-	MarkRebased()
 }
 
 // posReplayer is the optional fast-sweep capability: a resumable replay
@@ -77,11 +66,6 @@ var (
 	// ErrSourceClosed reports that the tailed WAL was closed: every
 	// durable record has been delivered and no more can arrive.
 	ErrSourceClosed = errors.New("storage: ship source is closed")
-	// ErrShipRebased reports that the leader re-based its log (a repair
-	// checkpoint covered batches the log lost): the shipped op stream no
-	// longer reconstructs the leader, so the consumer must re-seed from
-	// the newest checkpoint instead of continuing.
-	ErrShipRebased = errors.New("storage: ship source re-based its log past a lost batch; re-seed from the newest checkpoint")
 )
 
 // errFillFull is the internal sentinel fill uses to bound one ReplaySince
@@ -126,18 +110,11 @@ func (s *Shipper) Tail(since uint64) *Tailer {
 func (s *Shipper) TailLatest() (seq uint64, snapshot []byte, t *Tailer, err error) {
 	guard := s.src.Retain(0)
 	defer guard.Release()
-	// The re-base baseline is read before the checkpoint: a repair that
-	// lands in between makes the fresh tailer stop (conservatively) on
-	// its first sweep rather than follow a stream recorded against state
-	// newer than the snapshot it bootstrapped from.
-	rebase := s.src.Rebases()
 	seq, snapshot, err = s.src.Latest()
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	t = newTailer(s.src, seq)
-	t.rebase = rebase
-	return seq, snapshot, t, nil
+	return seq, snapshot, newTailer(s.src, seq), nil
 }
 
 // shipRec is one buffered (seq, payload) pair.
@@ -154,7 +131,6 @@ type Tailer struct {
 	src       TailSource
 	next      uint64  // last delivered (or skipped) sequence number
 	pos       TailPos // byte-accurate sweep cursor (posReplayer sources)
-	rebase    uint64  // source re-base count at attach
 	buf       []shipRec
 	lease     Lease
 	closed    chan struct{}
@@ -168,7 +144,6 @@ func newTailer(src TailSource, since uint64) *Tailer {
 		src:    src,
 		next:   since,
 		pos:    TailPos{Seq: since},
-		rebase: src.Rebases(),
 		lease:  src.Retain(since),
 		closed: make(chan struct{}),
 	}
@@ -176,13 +151,6 @@ func newTailer(src TailSource, since uint64) *Tailer {
 
 // Seq returns the sequence number of the last delivered batch.
 func (t *Tailer) Seq() uint64 { return t.next }
-
-// RebaseBaseline returns the source re-base count captured when this
-// tailer attached. A caller draining the source directly (outside the
-// tailer, as leader handoff does) must compare src.Rebases() against
-// this baseline *after* its drain — the same post-sweep ordering fill
-// relies on — to reject a stream a repair checkpoint re-based mid-drain.
-func (t *Tailer) RebaseBaseline() uint64 { return t.rebase }
 
 // Close releases the tailer's retention lease and unblocks a concurrent
 // Next with ErrTailerClosed. Idempotent.
@@ -197,9 +165,8 @@ func (t *Tailer) Close() error {
 // Next returns the next durable batch, blocking until one is appended or
 // the tailer is closed (ErrTailerClosed). The payload is owned by the
 // caller. Replay errors — a gap where the log was truncated past this
-// tailer's position before it attached, a source re-base
-// (ErrShipRebased), the source closing (ErrSourceClosed) — surface
-// as-is and are terminal.
+// tailer's position before it attached, a poisoned source log, the
+// source closing (ErrSourceClosed) — surface as-is and are terminal.
 func (t *Tailer) Next() (uint64, []byte, error) {
 	for {
 		seq, payload, ok, err := t.TryNext()
@@ -256,9 +223,7 @@ const fillWindow = 256
 // fill sweeps up to fillWindow durable records after t.next into the
 // buffer. Payloads are copied — the buffer owns them. On a posReplayer
 // source the sweep resumes at the byte cursor (O(new records)); plain
-// TailSources re-scan from t.next. A moved re-base counter stops the
-// tailer before it ships a stream that no longer reconstructs the
-// leader.
+// TailSources re-scan from t.next.
 func (t *Tailer) fill() error {
 	collect := func(seq uint64, payload []byte) error {
 		if len(t.buf) >= fillWindow {
@@ -275,18 +240,8 @@ func (t *Tailer) fill() error {
 	} else {
 		err = t.src.ReplaySince(t.next, collect)
 	}
-	if err != nil && !errors.Is(err, errFillFull) {
-		return err
+	if errors.Is(err, errFillFull) {
+		return nil
 	}
-	// The re-base check runs AFTER the sweep: a repair checkpoint plus a
-	// post-repair append landing between a pre-sweep check and the scan
-	// could slip a post-rebase record into the buffer undetected. The
-	// leader marks the re-base strictly before any post-repair append,
-	// so a sweep that could have picked one up always sees the moved
-	// counter here — the possibly-tainted buffer is discarded.
-	if t.src.Rebases() != t.rebase {
-		t.buf = nil
-		return ErrShipRebased
-	}
-	return nil
+	return err
 }

@@ -397,55 +397,6 @@ func TestTailerPreservesGroupCommit(t *testing.T) {
 	}
 }
 
-// TestTailerStopsOnRebase: MarkRebased (the store's repair path after a
-// lost batch) must stop an attached tailer with ErrShipRebased — the op
-// stream past the repair no longer reconstructs the leader.
-func TestTailerStopsOnRebase(t *testing.T) {
-	w, err := storage.OpenWAL(t.TempDir(), storage.WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	appendN(t, w, 1, 2)
-	sh, err := storage.NewShipper(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tail := sh.Tail(0)
-	defer tail.Close()
-	if _, _, err := tail.Next(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Park the tailer past the durable end, then re-base: the wake must
-	// surface the error (after the remaining buffered/durable record).
-	errc := make(chan error, 1)
-	go func() {
-		for {
-			if _, _, err := tail.Next(); err != nil {
-				errc <- err
-				return
-			}
-		}
-	}()
-	time.Sleep(10 * time.Millisecond)
-	w.MarkRebased()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, storage.ErrShipRebased) {
-			t.Fatalf("tailer after MarkRebased: err=%v, want ErrShipRebased", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("MarkRebased did not stop the tailer")
-	}
-	// A fresh tailer attached after the re-base is fine.
-	fresh := sh.Tail(2)
-	defer fresh.Close()
-	if _, _, ok, err := fresh.TryNext(); err != nil || ok {
-		t.Fatalf("fresh post-rebase tailer: ok=%v err=%v", ok, err)
-	}
-}
-
 // TestTailerGroupCommitVisibility: records appended under group commit
 // (unsynced) must still reach a tailer — the sweep syncs before reading.
 func TestTailerGroupCommitVisibility(t *testing.T) {

@@ -25,7 +25,7 @@ type malformedFrame struct {
 }
 
 func malformedFrames() []malformedFrame {
-	notify := frameRecord(frameNotify, binary.AppendUvarint(binary.AppendUvarint(nil, 9), 1))
+	notify := frameRecord(frameNotify, binary.AppendUvarint(nil, 9))
 	oversized := frameRecord(frameRec, []byte{1, 2, 3})
 	binary.LittleEndian.PutUint32(oversized[0:4], maxRecord+1)
 	badCRC := append([]byte(nil), notify...)
@@ -39,7 +39,7 @@ func malformedFrames() []malformedFrame {
 		{"overflowing uvarint in an error frame", frameRecord(frameErr, append(overflow, 0x01)), true},
 		{"error frame without a code", frameRecord(frameErr, nil), true},
 		{"unknown error code", frameRecord(frameErr, append(binary.AppendUvarint(nil, 99), "boom"...)), true},
-		{"notify missing a field", frameRecord(frameNotify, []byte{9}), true},
+		{"notify missing a field", frameRecord(frameNotify, nil), true},
 		{"unknown frame kind", frameRecord(99, nil), true},
 	}
 }
@@ -138,5 +138,41 @@ func clientFails(t *testing.T, row malformedFrame) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("client wedged on a malformed handshake reply")
+	}
+}
+
+// TestShipHelloRefusesV1: a peer speaking protocol 1, which still
+// carried the re-base counter, is refused at hello with an error frame,
+// and the server drops the connection.
+func TestShipHelloRefusesV1(t *testing.T) {
+	w, err := OpenWAL(t.TempDir(), WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	srv, err := NewShipServer(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, server := net.Pipe()
+	defer client.Close()
+	done := make(chan struct{})
+	go func() {
+		srv.ServeConn(server)
+		close(done)
+	}()
+	client.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := client.Write(frameRecord(frameHello, binary.AppendUvarint(nil, 1))); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := readWireFrame(client)
+	if err != nil || fr.kind != frameErr {
+		t.Fatalf("v1 hello answered with frame %d, %v; want an error frame", fr.kind, err)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server still serving a v1 peer")
 	}
 }

@@ -16,23 +16,11 @@ package storage
 //
 // Exchanges are request/response over a single connection, serialized
 // client-side; the server additionally pushes frameNotify (durability
-// broadcast: seq + rebase count) and frameClosed (leader WAL closed)
-// at any point. Lease traffic (frameRetain/Advance/Release) and
-// frameMarkRebase are fire-and-forget: per-connection write ordering
-// guarantees a registration written before a read request is processed
-// before it, which preserves TailLatest's register-then-read bootstrap
-// invariant over the wire.
-//
-// Rebase soundness over the wire: the server reads src.Rebases() AFTER
-// scanning a replay page and ships it in frameReplayEnd; the client
-// updates its cached counter from that frame before ReplaySince
-// returns. The leader marks a re-base strictly before any post-repair
-// append, so a page that picked up a post-repair record always carries
-// the moved counter — Tailer.fill's post-sweep check then fires off
-// the cache exactly as it would in-process. The cache can lag (a
-// notify not yet delivered) but never run ahead of what the served
-// records require, so the failure mode is a conservative stop, never
-// silent divergence.
+// broadcast: seq) and frameClosed (leader WAL closed) at any point.
+// Lease traffic (frameRetain/Advance/Release) is fire-and-forget:
+// per-connection write ordering guarantees a registration written
+// before a read request is processed before it, which preserves
+// TailLatest's register-then-read bootstrap invariant over the wire.
 //
 // Reconnection: every client exchange redials with exponential backoff
 // (bounded by RemoteOptions) and re-registers live leases at their
@@ -54,10 +42,11 @@ import (
 	"time"
 )
 
-// wireProto is the protocol version exchanged in the hello handshake.
-const wireProto = 1
+// wireProto is the protocol version exchanged in the hello handshake; a
+// peer speaking any other version is refused.
+const wireProto = 2
 
-// Frame kinds. Client→server: hello, latest, replay, lease ops, mark.
+// Frame kinds. Client→server: hello, latest, replay, lease ops.
 // Server→client: helloOK, latestOK, err, rec, replayEnd, notify, closed.
 const (
 	frameHello uint64 = iota + 1
@@ -66,7 +55,6 @@ const (
 	frameRetain
 	frameAdvance
 	frameRelease
-	frameMarkRebase
 	frameHelloOK
 	frameLatestOK
 	frameErr
@@ -116,9 +104,9 @@ type wireFrame struct {
 // wireFields is how many uvarint fields each frame kind leads with.
 var wireFields = [...]int{
 	frameHello: 1, frameLatest: 0, frameReplay: 2, frameRetain: 2,
-	frameAdvance: 2, frameRelease: 1, frameMarkRebase: 0,
-	frameHelloOK: 3, frameLatestOK: 1, frameErr: 1, frameRec: 1,
-	frameReplayEnd: 2, frameNotify: 2, frameClosed: 0,
+	frameAdvance: 2, frameRelease: 1,
+	frameHelloOK: 2, frameLatestOK: 1, frameErr: 1, frameRec: 1,
+	frameReplayEnd: 1, frameNotify: 1, frameClosed: 0,
 }
 
 // readWireFrame reads, verifies and decodes one frame. Any malformation —
@@ -178,7 +166,7 @@ func decodeErrFrame(fr wireFrame) error {
 // accept loop over a listener; ServeConn serves a single transport
 // (net.Pipe in tests). Every connection gets catch-up + live-tail
 // replay, lease registration (released on disconnect, so a vanished
-// client can never hold back truncation forever), rebase propagation,
+// client can never hold back truncation forever), durability pushes,
 // and a frameClosed push when the leader's WAL closes.
 type ShipServer struct {
 	src TailSource
@@ -340,7 +328,6 @@ func (h *shipConn) serve() {
 	var hello []byte
 	hello = binary.AppendUvarint(hello, wireProto)
 	hello = binary.AppendUvarint(hello, h.src.Seq())
-	hello = binary.AppendUvarint(hello, h.src.Rebases())
 	if h.write(frameHelloOK, hello) != nil {
 		return
 	}
@@ -358,10 +345,10 @@ func (h *shipConn) serve() {
 	}
 }
 
-// notify pushes (seq, rebases) whenever the source's durability
-// broadcast fires, and frameClosed once the source is closed for good.
+// notify pushes seq whenever the source's durability broadcast fires,
+// and frameClosed once the source is closed for good.
 func (h *shipConn) notify() {
-	var lastSeq, lastReb uint64
+	var lastSeq uint64
 	sent := false
 	for {
 		// The watch is grabbed BEFORE reading the state it covers —
@@ -371,15 +358,11 @@ func (h *shipConn) notify() {
 			h.write(frameClosed, nil)
 			return
 		}
-		seq, reb := h.src.Seq(), h.src.Rebases()
-		if !sent || seq != lastSeq || reb != lastReb {
-			var p []byte
-			p = binary.AppendUvarint(p, seq)
-			p = binary.AppendUvarint(p, reb)
-			if h.write(frameNotify, p) != nil {
+		if seq := h.src.Seq(); !sent || seq != lastSeq {
+			if h.write(frameNotify, binary.AppendUvarint(nil, seq)) != nil {
 				return
 			}
-			lastSeq, lastReb, sent = seq, reb, true
+			lastSeq, sent = seq, true
 		}
 		select {
 		case <-ch:
@@ -423,16 +406,13 @@ func (h *shipConn) handle(fr wireFrame) error {
 			delete(h.leases, fr.f[0])
 		}
 		return nil
-	case frameMarkRebase:
-		h.src.MarkRebased()
-		return nil
 	default:
 		return fmt.Errorf("storage: shipnet: unexpected frame kind %d", fr.kind)
 	}
 }
 
 // replay serves one page: up to max records after since, then a
-// frameReplayEnd carrying the POST-scan rebase count and source seq.
+// frameReplayEnd carrying the post-scan source seq.
 // The page is collected before any frame is written, so no WAL
 // internals are held while blocked on a slow client.
 func (h *shipConn) replay(since uint64, max int) error {
@@ -462,10 +442,6 @@ func (h *shipConn) replay(since uint64, max int) error {
 	if err != nil && !errors.Is(err, errPageFull) {
 		return h.writeCallErr(err)
 	}
-	// Rebases strictly AFTER the scan: a post-repair record in the page
-	// implies the counter moved before its append, so the client cache
-	// sees the move before its own post-sweep check runs.
-	reb := h.src.Rebases()
 	srcSeq := h.src.Seq()
 	for _, rec := range page {
 		p := make([]byte, 0, len(rec.payload)+binary.MaxVarintLen64)
@@ -475,10 +451,7 @@ func (h *shipConn) replay(since uint64, max int) error {
 			return werr
 		}
 	}
-	var end []byte
-	end = binary.AppendUvarint(end, reb)
-	end = binary.AppendUvarint(end, srcSeq)
-	return h.write(frameReplayEnd, end)
+	return h.write(frameReplayEnd, binary.AppendUvarint(nil, srcSeq))
 }
 
 // ------------------------------------------------------------- client
@@ -514,7 +487,7 @@ func (o RemoteOptions) withDefaults() RemoteOptions {
 // RemoteTailSource is a TailSource over a ShipServer connection:
 // ltree.OpenFollower attaches to it exactly as to an in-process WAL.
 // Reads (Latest, ReplaySince) are request/response exchanges with
-// redial+resume; Seq/Rebases serve a notify-maintained cache;
+// redial+resume; Seq serves a notify-maintained cache;
 // AppendWatch is the local edge of the server's durability broadcast.
 // The write half of the WALBackend surface returns ErrRemoteReadOnly.
 type RemoteTailSource struct {
@@ -528,7 +501,6 @@ type RemoteTailSource struct {
 	conn      net.Conn
 	resp      chan wireFrame
 	seq       uint64
-	rebases   uint64
 	watch     chan struct{}
 	srcClosed bool // server pushed frameClosed: leader WAL is gone
 	closed    bool // Close ran
@@ -595,27 +567,25 @@ func (r *RemoteTailSource) dropConn(conn net.Conn) {
 }
 
 // clientHello runs the handshake on a fresh transport and returns the
-// server's (seq, rebases) at accept time.
-func clientHello(conn net.Conn, br *bufio.Reader) (seq, rebases uint64, err error) {
-	var p []byte
-	p = binary.AppendUvarint(p, wireProto)
-	if _, err = conn.Write(frameRecord(frameHello, p)); err != nil {
-		return 0, 0, err
+// server's seq at accept time.
+func clientHello(conn net.Conn, br *bufio.Reader) (seq uint64, err error) {
+	if _, err = conn.Write(frameRecord(frameHello, binary.AppendUvarint(nil, wireProto))); err != nil {
+		return 0, err
 	}
 	fr, err := readWireFrame(br)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if fr.kind == frameErr {
-		return 0, 0, decodeErrFrame(fr)
+		return 0, decodeErrFrame(fr)
 	}
 	if fr.kind != frameHelloOK {
-		return 0, 0, fmt.Errorf("storage: shipnet: handshake got frame %d", fr.kind)
+		return 0, fmt.Errorf("storage: shipnet: handshake got frame %d", fr.kind)
 	}
 	if proto := fr.f[0]; proto != wireProto {
-		return 0, 0, fmt.Errorf("storage: shipnet: server speaks protocol %d (want %d)", proto, wireProto)
+		return 0, fmt.Errorf("storage: shipnet: server speaks protocol %d (want %d)", proto, wireProto)
 	}
-	return fr.f[1], fr.f[2], nil
+	return fr.f[1], nil
 }
 
 // ensureConn (re)establishes the connection with backoff, bounded by
@@ -654,7 +624,7 @@ func (r *RemoteTailSource) ensureConn() error {
 			continue
 		}
 		br := bufio.NewReader(conn)
-		seq, reb, err := clientHello(conn, br)
+		seq, err := clientHello(conn, br)
 		if err != nil {
 			conn.Close()
 			if errors.Is(err, ErrSourceClosed) {
@@ -674,9 +644,6 @@ func (r *RemoteTailSource) ensureConn() error {
 		r.resp = resp
 		if seq > r.seq {
 			r.seq = seq
-		}
-		if reb > r.rebases {
-			r.rebases = reb
 		}
 		type reg struct {
 			l         *remoteLease
@@ -724,14 +691,10 @@ func (r *RemoteTailSource) read(conn net.Conn, br *bufio.Reader, resp chan wireF
 		}
 		switch fr.kind {
 		case frameNotify:
-			seq, reb := fr.f[0], fr.f[1]
 			r.mu.Lock()
 			if r.conn == conn {
-				if seq > r.seq {
+				if seq := fr.f[0]; seq > r.seq {
 					r.seq = seq
-				}
-				if reb > r.rebases {
-					r.rebases = reb
 				}
 				r.notifyLocked()
 			}
@@ -769,15 +732,6 @@ func (r *RemoteTailSource) Seq() uint64 {
 	return r.seq
 }
 
-// Rebases returns the cached re-base count. The cache lags at worst —
-// it is updated from the post-scan count every replay — so a moved
-// counter is never missed for records already delivered.
-func (r *RemoteTailSource) Rebases() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rebases
-}
-
 // AppendWatch implements TailSource: nil once the source is closed
 // (locally or leader-side); an already-closed channel while
 // disconnected, so a parked tailer re-sweeps — and thereby redials —
@@ -797,18 +751,6 @@ func (r *RemoteTailSource) AppendWatch() <-chan struct{} {
 		r.watch = make(chan struct{})
 	}
 	return r.watch
-}
-
-// MarkRebased bumps the cached counter immediately (attached tailers
-// must observe the move) and forwards to the leader.
-func (r *RemoteTailSource) MarkRebased() {
-	r.mu.Lock()
-	r.rebases++
-	conn := r.conn
-	r.mu.Unlock()
-	if conn != nil {
-		r.send(conn, frameMarkRebase, nil)
-	}
 }
 
 // Retain implements TailSource: the lease is tracked locally (for
@@ -920,8 +862,8 @@ func (r *RemoteTailSource) Latest() (uint64, []byte, error) {
 }
 
 // ReplaySince implements WALBackend over paged fetches: each page is
-// collected whole (so the reader never stalls mid-exchange), the cache
-// is updated from the page's post-scan counters, and only then are
+// collected whole (so the reader never stalls mid-exchange), the seq
+// cache is updated from the page's post-scan seq, and only then are
 // records delivered — a windowed consumer that stops early leaves the
 // remainder in the carry, served first on the next contiguous call.
 // Reconnection is per page: a lost connection repeats the page from the
@@ -947,17 +889,11 @@ func (r *RemoteTailSource) ReplaySince(since uint64, fn func(seq uint64, payload
 	}
 
 	for {
-		page, reb, srcSeq, err := r.fetchPage(since, wirePage)
+		page, srcSeq, err := r.fetchPage(since, wirePage)
 		if err != nil {
 			return err
 		}
-		// Cache update BEFORE delivery: a consumer checking Rebases()
-		// right after its window fills must see the count that covers
-		// every record it buffered.
 		r.mu.Lock()
-		if reb > r.rebases {
-			r.rebases = reb
-		}
 		if srcSeq > r.seq {
 			r.seq = srcSeq
 		}
@@ -978,40 +914,40 @@ func (r *RemoteTailSource) ReplaySince(since uint64, fn func(seq uint64, payload
 }
 
 // fetchPage runs one frameReplay exchange with transport-level retry.
-func (r *RemoteTailSource) fetchPage(since uint64, max int) ([]shipRec, uint64, uint64, error) {
+func (r *RemoteTailSource) fetchPage(since uint64, max int) ([]shipRec, uint64, error) {
 	var lastErr error = fmt.Errorf("storage: shipnet: no attempt ran (%w)", errTransport)
 	for tries := 0; tries < r.opt.DialAttempts; tries++ {
 		if err := r.ensureConn(); err != nil {
-			return nil, 0, 0, err
+			return nil, 0, err
 		}
-		page, reb, srcSeq, err := r.tryPage(since, max)
+		page, srcSeq, err := r.tryPage(since, max)
 		if err == nil {
-			return page, reb, srcSeq, nil
+			return page, srcSeq, nil
 		}
 		if !errors.Is(err, errTransport) {
-			return nil, 0, 0, err
+			return nil, 0, err
 		}
 		lastErr = err
 	}
-	return nil, 0, 0, fmt.Errorf("storage: remote tail: replay failed: %w", lastErr)
+	return nil, 0, fmt.Errorf("storage: remote tail: replay failed: %w", lastErr)
 }
 
 // tryPage issues one frameReplay and collects the response stream.
 // Transport failures are wrapped with errTransport (retryable);
 // anything else is the request's real outcome.
-func (r *RemoteTailSource) tryPage(since uint64, max int) ([]shipRec, uint64, uint64, error) {
+func (r *RemoteTailSource) tryPage(since uint64, max int) ([]shipRec, uint64, error) {
 	r.mu.Lock()
 	conn, resp := r.conn, r.resp
 	r.mu.Unlock()
 	if conn == nil {
-		return nil, 0, 0, fmt.Errorf("storage: shipnet: not connected (%w)", errTransport)
+		return nil, 0, fmt.Errorf("storage: shipnet: not connected (%w)", errTransport)
 	}
 	var req []byte
 	req = binary.AppendUvarint(req, since)
 	req = binary.AppendUvarint(req, uint64(max))
 	if err := r.writeFrame(conn, frameReplay, req); err != nil {
 		r.dropConn(conn)
-		return nil, 0, 0, fmt.Errorf("storage: shipnet: %v (%w)", err, errTransport)
+		return nil, 0, fmt.Errorf("storage: shipnet: %v (%w)", err, errTransport)
 	}
 	var page []shipRec
 	for {
@@ -1019,18 +955,18 @@ func (r *RemoteTailSource) tryPage(since uint64, max int) ([]shipRec, uint64, ui
 		if !open {
 			// Lost mid-page: discard the partial page, repeat from the
 			// same resume point on a fresh connection.
-			return nil, 0, 0, fmt.Errorf("storage: shipnet: connection lost mid-page (%w)", errTransport)
+			return nil, 0, fmt.Errorf("storage: shipnet: connection lost mid-page (%w)", errTransport)
 		}
 		switch f.kind {
 		case frameRec:
 			page = append(page, shipRec{seq: f.f[0], payload: f.rest})
 		case frameReplayEnd:
-			return page, f.f[0], f.f[1], nil
+			return page, f.f[0], nil
 		case frameErr:
-			return nil, 0, 0, decodeErrFrame(f)
+			return nil, 0, decodeErrFrame(f)
 		default:
 			r.dropConn(conn)
-			return nil, 0, 0, fmt.Errorf("storage: shipnet: unexpected frame %d (%w)", f.kind, errTransport)
+			return nil, 0, fmt.Errorf("storage: shipnet: unexpected frame %d (%w)", f.kind, errTransport)
 		}
 	}
 }

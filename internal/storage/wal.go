@@ -44,7 +44,7 @@ type WAL struct {
 	segEnd   int64  // byte offset of the segment's last complete record
 	seq      uint64 // last appended batch sequence number
 	unsynced int    // appends since the last fsync (group commit)
-	broken   error  // a partial append this handle could not roll back
+	broken   error  // a failed fsync, or a partial append not rolled back
 
 	ckptSeq   uint64 // sequence number covered by the newest checkpoint
 	liveBytes int64  // framed record bytes appended since that checkpoint
@@ -63,13 +63,6 @@ type WAL struct {
 	// tailer per buffered append would make its sweep fsync the segment,
 	// silently degrading a SyncEvery>1 leader to fsync-per-commit.
 	watch chan struct{}
-
-	// rebases counts log re-bases: checkpoints that covered state the
-	// log itself lost (a failed append the store repaired). An attached
-	// tailer observing the counter move knows the op stream it is
-	// following no longer reconstructs the leader and must re-seed; see
-	// MarkRebased.
-	rebases uint64
 
 	// leases are the segment-retention guards registered by attached
 	// tailers (see ship.go): Checkpoint's log truncation never deletes a
@@ -280,7 +273,6 @@ func (w *WAL) newSegment(base uint64) error {
 		w.seg.Close()
 	}
 	w.seg, w.segBase, w.segEnd, w.seq, w.unsynced = f, base, int64(segHeaderLen), base, 0
-	w.broken = nil
 	return nil
 }
 
@@ -328,11 +320,11 @@ func (w *WAL) notifyLocked() {
 }
 
 // AppendWatch returns a channel that is closed the next time appended
-// records become durable (or the state otherwise moves: MarkRebased,
-// Close). Tailers use it to block for new records without polling: grab
-// the channel, re-check Seq, then wait. On a closed WAL it returns nil —
-// no append can ever fire again, so a tailer must stop instead of
-// parking forever.
+// records become durable (or the state otherwise moves: a poisoning
+// fsync failure, Close). Tailers use it to block for new records without
+// polling: grab the channel, re-check Seq, then wait. On a closed WAL it
+// returns nil — no append can ever fire again, so a tailer must stop
+// instead of parking forever.
 func (w *WAL) AppendWatch() <-chan struct{} {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -343,26 +335,6 @@ func (w *WAL) AppendWatch() <-chan struct{} {
 		w.watch = make(chan struct{})
 	}
 	return w.watch
-}
-
-// MarkRebased records that the newest checkpoint covers state the log
-// lost (the store's repair path after a failed append calls this right
-// after the repairing Checkpoint succeeds). Attached tailers observe the
-// counter through Rebases and stop with ErrShipRebased: the op stream
-// past this point is recorded against state they never received, so
-// continuing would verify-fail at best and silently diverge at worst.
-func (w *WAL) MarkRebased() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.rebases++
-	w.notifyLocked() // wake parked tailers so they detect it now
-}
-
-// Rebases returns the number of log re-bases; see MarkRebased.
-func (w *WAL) Rebases() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.rebases
 }
 
 // walLease is one registered retention floor; see Retain.
@@ -452,7 +424,7 @@ func (w *WAL) AppendBatch(payload []byte) (uint64, error) {
 		return 0, errors.New("storage: WAL is closed")
 	}
 	if w.broken != nil {
-		return 0, fmt.Errorf("storage: WAL poisoned by an unrepaired partial append: %w", w.broken)
+		return 0, w.poisonErr()
 	}
 	if len(payload) > maxRecord {
 		return 0, fmt.Errorf("storage: WAL batch of %d bytes exceeds the record limit", len(payload))
@@ -464,24 +436,24 @@ func (w *WAL) AppendBatch(payload []byte) (uint64, error) {
 		// complete record so later appends cannot land after torn bytes
 		// (recovery would silently discard them); if the rollback itself
 		// fails, poison the handle — reopening repairs the file.
-		if terr := w.seg.Truncate(w.segEnd); terr != nil {
-			w.broken = err
-		} else if _, serr := w.seg.Seek(w.segEnd, io.SeekStart); serr != nil {
+		if w.rollbackLocked() != nil {
 			w.broken = err
 		}
 		return 0, fmt.Errorf("storage: WAL append: %w", err)
 	}
+	w.unsynced++
+	if w.opt.SyncEvery <= 1 || w.unsynced >= w.opt.SyncEvery {
+		if err := w.syncLocked(); err != nil {
+			// The record's fate is undetermined: it is not a pending
+			// write a later fsync may still land. Roll it back as far as
+			// the file allows; the handle stays poisoned either way.
+			_ = w.rollbackLocked()
+			return 0, fmt.Errorf("storage: WAL sync: %w", err)
+		}
+	}
 	w.segEnd += int64(len(frame))
 	w.liveBytes += int64(len(frame))
 	w.seq = seq
-	w.unsynced++
-	if w.opt.SyncEvery <= 1 || w.unsynced >= w.opt.SyncEvery {
-		if err := w.seg.Sync(); err != nil {
-			return 0, fmt.Errorf("storage: WAL sync: %w", err)
-		}
-		w.unsynced = 0
-		w.notifyLocked() // the record is durable: wake tailers
-	}
 	if w.opt.SegmentBytes > 0 && w.segEnd >= int64(segHeaderLen)+w.opt.SegmentBytes {
 		// Size rotation: seal the segment, continue in a fresh one. The
 		// record above is already durable (or will be at the next group
@@ -492,17 +464,45 @@ func (w *WAL) AppendBatch(payload []byte) (uint64, error) {
 	return seq, nil
 }
 
+// rollbackLocked cuts the segment back to its last complete record and
+// moves the write offset there. Caller holds the lock.
+func (w *WAL) rollbackLocked() error {
+	if err := w.seg.Truncate(w.segEnd); err != nil {
+		return err
+	}
+	_, err := w.seg.Seek(w.segEnd, io.SeekStart)
+	return err
+}
+
+// syncLocked fsyncs the segment and wakes tailers. A failed fsync poisons
+// the handle: the kernel may have dropped the unwritten pages, so a retry
+// that succeeds proves nothing, and only reopening — which re-reads what
+// reached the disk — is trusted again. Tailers are woken either way, so
+// a poisoned handle stops them now. Caller holds the lock.
+func (w *WAL) syncLocked() error {
+	defer w.notifyLocked()
+	if err := w.seg.Sync(); err != nil {
+		w.broken = err
+		return err
+	}
+	w.unsynced = 0
+	return nil
+}
+
+// poisonErr is the error a poisoned handle returns. Caller holds the lock.
+func (w *WAL) poisonErr() error {
+	return fmt.Errorf("storage: WAL poisoned by a failed append or fsync (reopen it): %w", w.broken)
+}
+
 // rotateLocked seals the current segment and opens a fresh one based at
 // the current sequence number, kicking the blob tier (a sealed segment
 // is an upload candidate). Caller holds the lock.
 func (w *WAL) rotateLocked() error {
 	if w.unsynced > 0 {
 		// The sealed file must be durable before the tier may upload it.
-		if err := w.seg.Sync(); err != nil {
+		if err := w.syncLocked(); err != nil {
 			return err
 		}
-		w.unsynced = 0
-		w.notifyLocked()
 	}
 	if err := w.newSegment(w.seq); err != nil {
 		return err
@@ -517,15 +517,13 @@ func (w *WAL) rotateLocked() error {
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.broken != nil {
+		return w.poisonErr()
+	}
 	if w.seg == nil || w.unsynced == 0 {
 		return nil
 	}
-	if err := w.seg.Sync(); err != nil {
-		return err
-	}
-	w.unsynced = 0
-	w.notifyLocked() // the group-commit window is durable: wake tailers
-	return nil
+	return w.syncLocked()
 }
 
 // ReplaySince implements WALBackend: it streams every durable batch with
@@ -560,15 +558,20 @@ type TailPos struct {
 // back to the locate-by-scan path.
 func (w *WAL) ReplayFromPos(pos TailPos, fn func(seq uint64, payload []byte) error) (TailPos, error) {
 	w.mu.Lock()
+	if w.broken != nil {
+		// The files may hold a record whose fsync failed: shipping it
+		// would replicate a commit the writer reported as failed.
+		err := w.poisonErr()
+		w.mu.Unlock()
+		return pos, err
+	}
 	if w.seg != nil && w.unsynced > 0 {
 		// Replay reads the files; make sure everything appended through
 		// this handle is visible and durable first.
-		if err := w.seg.Sync(); err != nil {
+		if err := w.syncLocked(); err != nil {
 			w.mu.Unlock()
 			return pos, err
 		}
-		w.unsynced = 0
-		w.notifyLocked()
 	}
 	local, err := w.listSegments()
 	t := w.tier
@@ -714,14 +717,15 @@ func (w *WAL) Checkpoint(snapshot []byte) (uint64, error) {
 	if w.seg == nil {
 		return 0, errors.New("storage: WAL is closed")
 	}
+	if w.broken != nil {
+		return 0, w.poisonErr()
+	}
 	// Batches the checkpoint covers must be durable before the checkpoint
 	// claims to cover them.
 	if w.unsynced > 0 {
-		if err := w.seg.Sync(); err != nil {
+		if err := w.syncLocked(); err != nil {
 			return 0, err
 		}
-		w.unsynced = 0
-		w.notifyLocked()
 	}
 	seq := w.seq
 	tmp, err := os.CreateTemp(w.dir, "ckpt-*.tmp")
@@ -752,16 +756,7 @@ func (w *WAL) Checkpoint(snapshot []byte) (uint64, error) {
 	w.ckptSeq, w.liveBytes = seq, 0
 	// Log truncation: switch to a fresh segment starting after seq, then
 	// drop the now-redundant older segments. Skip the switch when the
-	// current segment is already empty at seq (repeat checkpoint) — but a
-	// poisoned empty segment is rewritten so the handle is usable again
-	// (the checkpoint supersedes whatever the torn append lost).
-	if seq == w.segBase && w.broken != nil {
-		if err := writeSegHeader(w.seg, w.segBase); err != nil {
-			return 0, err
-		}
-		w.segEnd = int64(segHeaderLen)
-		w.broken = nil
-	}
+	// current segment is already empty at seq (repeat checkpoint).
 	if seq > w.segBase {
 		if err := w.newSegment(seq); err != nil {
 			return 0, err

@@ -189,6 +189,57 @@ func TestWALGroupCommitSync(t *testing.T) {
 	}
 }
 
+// TestAppendSyncFailurePoisons: an append whose fsync fails is not a
+// pending write a later fsync may still land. The sequence number stays
+// put, and the handle refuses appends, replays and checkpoints until it
+// is reopened. The segment is swapped for the write end of a pipe, where
+// a write succeeds but Sync and Truncate fail.
+func TestAppendSyncFailurePoisons(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := w.AppendBatch(payloadN(1)); err != nil {
+		t.Fatal(err)
+	}
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	seg := w.seg
+	w.seg = pw
+	_, appendErr := w.AppendBatch(payloadN(2))
+	w.seg = seg
+	pw.Close()
+	if appendErr == nil {
+		t.Fatal("append over a failing fsync reported success")
+	}
+	if got := w.Seq(); got != 1 {
+		t.Fatalf("Seq() after a failed fsync = %d, want 1", got)
+	}
+	if _, err := w.AppendBatch(payloadN(3)); err == nil {
+		t.Fatal("append on a poisoned handle succeeded")
+	}
+	if err := w.ReplaySince(0, func(uint64, []byte) error { return nil }); err == nil {
+		t.Fatal("replay on a poisoned handle succeeded")
+	}
+	if _, err := w.Checkpoint([]byte("snap")); err == nil {
+		t.Fatal("checkpoint on a poisoned handle succeeded")
+	}
+	// Reopening is the repair: it holds exactly the acknowledged record.
+	w2, err := OpenWAL(dir, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if got := collect(t, w2, 0); !reflect.DeepEqual(got, map[uint64]string{1: string(payloadN(1))}) {
+		t.Fatalf("reopened log holds %v, want only batch 1", got)
+	}
+}
+
 func TestWALReopenRepairsTornTail(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(dir, WALOptions{})

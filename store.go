@@ -30,8 +30,9 @@ import (
 // cheap-relabeling guarantee), collect the index-relevant effects as a
 // change batch, and at commit derive the next index version copy-on-write
 // — only the posting lists the batch touched are copied (see
-// internal/index) — then publish it atomically. Use Update to batch
-// several mutations into one commit and one published version.
+// internal/index) — log it when a WAL is attached, and only then publish
+// it atomically. Use Update to batch several mutations into one commit
+// and one published version.
 type Store struct {
 	mu  sync.RWMutex // many readers xor one writer over doc
 	doc *document.Doc
@@ -44,13 +45,14 @@ type Store struct {
 
 	// wal, when non-nil, receives every committed batch as one appended
 	// log record (see WithWAL); commits are then durable without
-	// rewriting a snapshot. walErr, once set, suspends appending: the log
-	// is missing a committed batch, so appending later batches would
-	// leave a logical hole that poisons recovery of the whole tail. A
-	// successful Checkpoint clears it (the snapshot covers the missed
-	// batches and truncates the log).
-	wal    storage.WALBackend
-	walErr error
+	// rewriting a snapshot.
+	wal storage.WALBackend
+
+	// fenced, once set, refuses every later write (ErrFenced): a commit
+	// failed after it had mutated the document, so the document holds
+	// state that is neither published nor durable. Reads keep serving the
+	// last published version; reopening the store is the only repair.
+	fenced error
 
 	// walPolicy, when enabled, checkpoints automatically at commit time
 	// once the live log outgrows its thresholds (see AutoCheckpoint).
@@ -132,9 +134,9 @@ func newStore(doc *document.Doc) *Store {
 }
 
 // publish registers the next index version and wakes every watcher. It
-// is the single seam all publish sites share — live commits, the
-// rebuild-on-error path, compaction, and shipped-batch apply — so
-// change feeds observe every version no matter which path produced it.
+// is the single seam all publish sites share — live commits,
+// checkpoints, compaction, and shipped-batch apply — so change feeds
+// observe every version no matter which path produced it.
 func (s *Store) publish(ix *index.Index) uint64 {
 	n := s.vers.Publish(ix)
 	s.watchMu.Lock()
@@ -186,43 +188,72 @@ func (s *Store) Root() *Elem { return s.doc.X.Root }
 func (s *Store) IndexVersion() uint64 { return s.vers.Current().N }
 
 // commitLocked folds the write batch recorded since the last commit into
-// the next index version, publishes it, and — when a WAL is attached —
-// appends the batch's logical ops as one fsync'd log record (triggering
-// an auto-checkpoint when the policy says the log outgrew its budget).
-// Caller holds the write lock. The index is published even when the
-// append fails, so the in-memory engine stays consistent; the returned
-// error then means "this commit may not be durable" and the caller
-// should checkpoint or stop trusting the log.
+// the next index version and makes it durable before it is visible: with
+// a WAL attached, the batch's logical ops are appended as one fsync'd log
+// record stamped with that version's root hash, and only then is the
+// version published. An error means the batch did not commit — it is
+// neither visible nor logged — and the store is fenced. After a published
+// commit the auto-checkpoint policy may run; its failure fences the store
+// for the next write but does not undo the commit. Caller holds the write
+// lock.
 func (s *Store) commitLocked() error {
-	if err := s.advanceIndexLocked(); err != nil {
-		return err
+	next, err := s.nextIndexLocked()
+	if err != nil {
+		return s.fence(err)
 	}
-	ops := s.doc.TakeOps()
-	if err := s.appendOpsLocked(ops); err != nil {
-		return err
+	if err := s.appendOpsLocked(s.doc.TakeOps(), next); err != nil {
+		return s.fence(err)
 	}
-	return s.maybeAutoCheckpointLocked()
+	if next != nil {
+		s.publish(next)
+	}
+	if err := s.maybeAutoCheckpointLocked(); err != nil {
+		s.fence(err)
+	}
+	return nil
 }
 
-// advanceIndexLocked derives and publishes the next index version from
-// the pending change batch. If the incremental patch reports the batch
-// contradicts the document — an indexed entry unbound with no removal
-// record — the index is rebuilt from the document outright (so readers
-// never see a quietly shrunken version) and the violation is returned as
-// an error: the store stays consistent but fails loudly.
-func (s *Store) advanceIndexLocked() error {
-	ch := s.doc.TakeChanges()
-	if ch.Empty() {
+// fence refuses every later write, keeping the first cause, and returns
+// the ErrFenced error those writes will see.
+func (s *Store) fence(err error) error {
+	if s.fenced == nil {
+		s.fenced = err
+	}
+	return s.fencedErr()
+}
+
+// fencedErr is the error every write returns on a fenced store: ErrFenced
+// around the first cause, or nil. Caller holds the lock.
+func (s *Store) fencedErr() error {
+	if s.fenced == nil {
 		return nil
 	}
-	cur := s.vers.Current()
-	next, err := cur.Ix.Apply(s.doc, ch)
-	if err != nil {
-		s.publish(index.Build(s.doc))
-		return fmt.Errorf("ltree: index patch rejected the change batch (index rebuilt): %w", err)
+	return fmt.Errorf("%w: %w", ErrFenced, s.fenced)
+}
+
+// nextIndexLocked derives the next index version from the pending change
+// batch without publishing it; nil means nothing changed. A batch the
+// incremental patch rejects — an indexed entry unbound with no removal
+// record — contradicts the document: an engine bug the caller fences on.
+func (s *Store) nextIndexLocked() (*index.Index, error) {
+	ch := s.doc.TakeChanges()
+	if ch.Empty() {
+		return nil, nil
 	}
-	s.publish(next)
-	return nil
+	next, err := s.vers.Current().Ix.Apply(s.doc, ch)
+	if err != nil {
+		return nil, fmt.Errorf("ltree: index patch rejected the change batch: %w", err)
+	}
+	return next, nil
+}
+
+// rootOf returns the root hash of a derived version, or of the published
+// one when next is nil (the batch changed no index entry).
+func (s *Store) rootOf(next *index.Index) [32]byte {
+	if next == nil {
+		next = s.vers.Current().Ix
+	}
+	return [32]byte(next.RootHash())
 }
 
 // maybeAutoCheckpointLocked runs the auto-checkpoint policy after a
@@ -245,29 +276,23 @@ func (s *Store) maybeAutoCheckpointLocked() error {
 	return err
 }
 
-// appendOpsLocked logs one committed batch to the attached WAL (no-op
-// without one), maintaining the suspension state: after a lost batch no
-// further batch may be appended — the hole would poison replay of the
-// whole tail — until a successful Checkpoint re-bases the log.
-func (s *Store) appendOpsLocked(ops []storage.Op) error {
+// appendOpsLocked logs one batch to the attached WAL (no-op without one)
+// as a single record, stamped with the root hash of next — the version
+// the batch produces, not yet published — or of the current version when
+// the batch changed no index entry. Followers compare the stamp against
+// their own recomputed root after applying the batch, turning silent
+// divergence into a loud ErrReplicaDiverged at the acking seam; replay
+// skips it.
+func (s *Store) appendOpsLocked(ops []storage.Op, next *index.Index) error {
 	if s.wal == nil || len(ops) == 0 {
 		return nil
 	}
-	if s.walErr != nil {
-		return fmt.Errorf("ltree: wal suspended after a lost batch (Checkpoint to recover): %w", s.walErr)
-	}
-	// Stamp the batch with the just-published index root hash (~35 B on
-	// the wire). Replay skips the stamp; followers compare it against
-	// their own recomputed root after applying the batch, turning silent
-	// divergence into a loud ErrReplicaDiverged at the acking seam.
-	ops = append(ops, storage.Op{Kind: storage.OpStamp, Root: [32]byte(s.vers.Current().Ix.RootHash())})
+	ops = append(ops, storage.Op{Kind: storage.OpStamp, Root: s.rootOf(next)})
 	payload, err := storage.EncodeOps(ops)
 	if err != nil {
-		s.walErr = err
 		return fmt.Errorf("ltree: wal encode: %w", err)
 	}
 	if _, err := s.wal.AppendBatch(payload); err != nil {
-		s.walErr = err
 		return fmt.Errorf("ltree: wal append: %w", err)
 	}
 	return nil
@@ -361,18 +386,22 @@ func (s *Store) Elements(tag string) []*Elem {
 
 // Update runs fn as one write batch: every mutation made through the
 // Batch lands in the same change set, and a single index version is
-// derived and published when fn returns. Batching amortizes the
+// derived, logged and published when fn returns. Batching amortizes the
 // copy-on-write patching across all the mutations. Update holds the
 // write lock for the duration of fn.
 //
 // A Batch is not a transaction: an error from fn rolls nothing back —
-// the commit still publishes (and, with a WAL attached, logs) whatever fn
-// changed, keeping the index and the log in sync with the document.
-// Callers needing rollback should Snapshot (or, on a WAL-backed store,
-// Checkpoint) first and Restore (or LoadAt that checkpoint) on failure.
+// the commit still logs and publishes whatever fn changed, keeping the
+// index and the log in sync with the document. Callers needing rollback
+// should Snapshot (or, on a WAL-backed store, Checkpoint) first and
+// Restore (or LoadAt that checkpoint) on failure. A commit that fails
+// fences the store: see ErrFenced.
 func (s *Store) Update(fn func(*Batch) error) (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.fencedErr(); err != nil {
+		return err
+	}
 	// Deferred so a panic in fn still commits: the index (and WAL) must
 	// reflect whatever fn mutated before the panic unwinds past us.
 	defer func() {
@@ -425,43 +454,41 @@ func (tx *Batch) Delete(n *Elem) error { return tx.doc.DeleteSubtree(n) }
 func (tx *Batch) Move(n, parent *Elem, idx int) error { return tx.doc.Move(n, parent, idx) }
 
 // InsertElement creates and labels an empty element as parent's idx-th
-// child.
+// child, as a one-op Update.
 func (s *Store) InsertElement(parent *Elem, idx int, tag string, attrs ...Attr) (el *Elem, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer func() { err = firstErr(err, s.commitLocked()) }()
-	return s.doc.InsertElement(parent, idx, tag, attrs...)
+	err = s.Update(func(tx *Batch) (err error) {
+		el, err = tx.InsertElement(parent, idx, tag, attrs...)
+		return err
+	})
+	return el, err
 }
 
-// InsertText creates and labels a text node as parent's idx-th child.
+// InsertText creates and labels a text node as parent's idx-th child, as
+// a one-op Update.
 func (s *Store) InsertText(parent *Elem, idx int, data string) (txt *Elem, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer func() { err = firstErr(err, s.commitLocked()) }()
-	return s.doc.InsertText(parent, idx, data)
+	err = s.Update(func(tx *Batch) (err error) {
+		txt, err = tx.InsertText(parent, idx, data)
+		return err
+	})
+	return txt, err
 }
 
 // InsertSubtree splices a detached subtree (built with NewElement/NewText
 // or parsed via ParseXML) as parent's idx-th child, labeling all of its
 // tags with one bulk run insertion (paper §4.1).
-func (s *Store) InsertSubtree(parent *Elem, idx int, sub *Elem) (err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer func() { err = firstErr(err, s.commitLocked()) }()
-	return s.doc.InsertSubtree(parent, idx, sub)
+func (s *Store) InsertSubtree(parent *Elem, idx int, sub *Elem) error {
+	return s.Update(func(tx *Batch) error { return tx.InsertSubtree(parent, idx, sub) })
 }
 
 // InsertXML parses an XML fragment and splices it as parent's idx-th
-// child in one bulk insertion.
-func (s *Store) InsertXML(parent *Elem, idx int, fragment string) (el *Elem, err error) {
+// child in one bulk insertion. The fragment is parsed before the write
+// lock is taken.
+func (s *Store) InsertXML(parent *Elem, idx int, fragment string) (*Elem, error) {
 	frag, err := xmldom.ParseString(fragment)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer func() { err = firstErr(err, s.commitLocked()) }()
-	if err := s.doc.InsertSubtree(parent, idx, frag.Root); err != nil {
+	if err := s.InsertSubtree(parent, idx, frag.Root); err != nil {
 		return nil, err
 	}
 	return frag.Root, nil
@@ -469,21 +496,15 @@ func (s *Store) InsertXML(parent *Elem, idx int, fragment string) (el *Elem, err
 
 // Delete detaches a subtree; its labels become tombstones and nothing is
 // relabeled (paper §2.3).
-func (s *Store) Delete(n *Elem) (err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer func() { err = firstErr(err, s.commitLocked()) }()
-	return s.doc.DeleteSubtree(n)
+func (s *Store) Delete(n *Elem) error {
+	return s.Update(func(tx *Batch) error { return tx.Delete(n) })
 }
 
 // Move relocates a subtree to become parent's idx-th child, preserving
 // node identities: the old labels become tombstones and the subtree is
 // relabeled at the target with one bulk run.
-func (s *Store) Move(n, parent *Elem, idx int) (err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer func() { err = firstErr(err, s.commitLocked()) }()
-	return s.doc.Move(n, parent, idx)
+func (s *Store) Move(n, parent *Elem, idx int) error {
+	return s.Update(func(tx *Batch) error { return tx.Move(n, parent, idx) })
 }
 
 // Refresh resyncs the published index after direct mutations of the
@@ -500,6 +521,9 @@ func (s *Store) Move(n, parent *Elem, idx int) (err error) {
 func (s *Store) Refresh() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.fencedErr(); err != nil {
+		return err
+	}
 	return s.commitLocked()
 }
 
@@ -512,7 +536,8 @@ func (s *Store) Refresh() error {
 // state still snapshot byte-identically. The one case left unstamped is
 // uncommitted direct Document() mutations — the published index no
 // longer describes the document, and an honest restore would flag the
-// stamp as divergence.
+// stamp as divergence. A fenced store refuses to snapshot (ErrFenced):
+// its document holds a batch that never committed.
 func (s *Store) Snapshot(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -521,6 +546,9 @@ func (s *Store) Snapshot(w io.Writer) error {
 
 // snapshotLocked is Snapshot's body for callers already holding a lock.
 func (s *Store) snapshotLocked(w io.Writer) error {
+	if err := s.fencedErr(); err != nil {
+		return err // the document holds a batch that never committed
+	}
 	if s.doc.ChangesPending() {
 		return s.doc.Snapshot(w)
 	}
@@ -662,11 +690,8 @@ func (s *Store) WithWAL(w WALBackend, opts ...WALOption) error {
 // recovery path becomes "this snapshot, no replay" until further commits
 // append to the fresh log. Returns the checkpoint's version. Commits are
 // O(batch); this is the one deliberately O(document) operation, so run it
-// on whatever cadence bounds your recovery time.
-//
-// Checkpoint is also the repair path after a failed append: the snapshot
-// covers the batches the log lost, so a success lifts the suspension and
-// commits log again.
+// on whatever cadence bounds your recovery time. A failed Checkpoint
+// fences the store like a failed commit (ErrFenced).
 func (s *Store) Checkpoint() (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -674,52 +699,39 @@ func (s *Store) Checkpoint() (uint64, error) {
 }
 
 // checkpointLocked is Checkpoint's body; the auto-checkpoint policy
-// calls it from inside an already-locked commit.
+// calls it from inside an already-locked commit. It follows the commit
+// order: derive, write the checkpoint, then publish.
 func (s *Store) checkpointLocked() (uint64, error) {
 	if s.wal == nil {
 		return 0, errors.New("ltree: no WAL attached (WithWAL, or LoadLatest on a WAL backend)")
 	}
+	if err := s.fencedErr(); err != nil {
+		return 0, err
+	}
 	// Fold any uncommitted state (direct Document() mutations since the
-	// last commit) into this checkpoint: publish the index and discard
+	// last commit) into this checkpoint: derive the next index and discard
 	// the pending ops — the snapshot below covers them, and appending
 	// them after it would replay them twice.
-	if err := s.advanceIndexLocked(); err != nil {
-		return 0, err
+	next, err := s.nextIndexLocked()
+	if err != nil {
+		return 0, s.fence(err)
 	}
 	s.doc.TakeOps()
 	var buf bytes.Buffer
-	// advanceIndexLocked just ran, so the published index describes the
-	// document exactly — stamp the checkpoint with its root hash. Restore
-	// verifies the rebuilt index against it, and the blob tier ships it in
-	// manifests for hash-compare backup verification.
-	if err := s.doc.SnapshotStamped(&buf, [32]byte(s.vers.Current().Ix.RootHash())); err != nil {
-		// The drained ops are gone but the snapshot never happened:
-		// appending later batches would leave a hole, so suspend until a
-		// checkpoint succeeds.
-		s.walErr = firstErr(s.walErr, err)
-		return 0, err
+	// The derived version describes the document exactly — stamp the
+	// checkpoint with its root hash. Restore verifies the rebuilt index
+	// against it, and the blob tier ships it in manifests for
+	// hash-compare backup verification.
+	if err := s.doc.SnapshotStamped(&buf, s.rootOf(next)); err != nil {
+		return 0, s.fence(err)
 	}
-	repairing := s.walErr != nil
 	v, err := s.wal.Checkpoint(buf.Bytes())
 	if err != nil {
-		// Whether or not the checkpoint file became visible, the only
-		// coherent continuation is another (successful) checkpoint: the
-		// drained ops exist nowhere else, and appending past them would
-		// poison replay.
-		s.walErr = firstErr(s.walErr, err)
-		return 0, err
+		return 0, s.fence(err)
 	}
-	if repairing {
-		// This checkpoint covers batches the log lost: the op stream is
-		// re-based. Attached log-shipping followers can no longer
-		// reconstruct this store from the stream alone — mark the WAL so
-		// their tailers stop (ErrShipRebased) instead of silently
-		// diverging; they re-seed from the checkpoint just written.
-		if r, ok := s.wal.(interface{ MarkRebased() }); ok {
-			r.MarkRebased()
-		}
+	if next != nil {
+		s.publish(next)
 	}
-	s.walErr = nil
 	return v, nil
 }
 
@@ -743,8 +755,10 @@ func (s *Store) applyShippedLocked(payload []byte) error {
 	if info.Compacted {
 		s.doc.TakeChanges()
 		s.publish(index.Build(s.doc))
-	} else if err := s.advanceIndexLocked(); err != nil {
+	} else if next, err := s.nextIndexLocked(); err != nil {
 		return err
+	} else if next != nil {
+		s.publish(next)
 	}
 	if info.HasRoot {
 		if got := s.vers.Current().Ix.RootHash(); got != index.Hash(info.Root) {
@@ -813,26 +827,26 @@ func LoadLatest(w WALBackend, opts ...WALOption) (*Store, error) {
 
 // Compact rebuilds the label tree without tombstones (extension; see
 // DESIGN.md §2.3). Compaction relabels everything, so the index is
-// rebuilt outright rather than patched.
+// rebuilt outright rather than patched. It commits like any write:
+// logged, then published, and a failure fences the store.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := s.doc.CompactLabels()
-	s.doc.TakeChanges() // everything moved; a patch would refresh it all anyway
-	s.publish(index.Build(s.doc))
-	// Compaction logs as a single op — replay re-runs the deterministic
-	// rebuild, so the log stays O(1) for an O(document) relabeling.
-	ops := s.doc.TakeOps()
-	if err != nil {
-		// The tree may be partially compacted with nothing logged (and
-		// any pending direct-mutation ops were just dropped): suspend
-		// appends until a Checkpoint captures the actual state.
-		if s.wal != nil {
-			s.walErr = firstErr(s.walErr, err)
-		}
+	if err := s.fencedErr(); err != nil {
 		return err
 	}
-	return s.appendOpsLocked(ops)
+	if err := s.doc.CompactLabels(); err != nil {
+		return s.fence(err) // the tree may be partially compacted
+	}
+	s.doc.TakeChanges() // everything moved; a patch would refresh it all anyway
+	next := index.Build(s.doc)
+	// Compaction logs as a single op — replay re-runs the deterministic
+	// rebuild, so the log stays O(1) for an O(document) relabeling.
+	if err := s.appendOpsLocked(s.doc.TakeOps(), next); err != nil {
+		return s.fence(err)
+	}
+	s.publish(next)
+	return nil
 }
 
 // Stats returns the accumulated maintenance counters.

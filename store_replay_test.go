@@ -10,6 +10,7 @@ package ltree_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -242,9 +243,7 @@ func TestStoreWALReplayProperty(t *testing.T) {
 	}
 }
 
-// flakyWAL injects append failures to exercise the store's suspension
-// semantics: after a lost batch the log has a logical hole, so the store
-// must refuse to append later batches until a Checkpoint re-bases it.
+// flakyWAL injects one append failure when failNext is set.
 type flakyWAL struct {
 	ltree.WALBackend
 	failNext bool
@@ -260,69 +259,7 @@ func (f *flakyWAL) AppendBatch(payload []byte) (uint64, error) {
 	return f.WALBackend.AppendBatch(payload)
 }
 
-func TestStoreWALSuspendsAfterLostBatch(t *testing.T) {
-	dir := t.TempDir()
-	st, err := ltree.OpenString(replaySeedDoc, ltree.DefaultParams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner, err := storage.OpenWAL(dir, storage.WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inner.Close()
-	flaky := &flakyWAL{WALBackend: inner}
-	if err := st.WithWAL(flaky); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.InsertElement(st.Root(), 0, "logged"); err != nil {
-		t.Fatal(err)
-	}
-
-	// A failed append loses the batch from the log: the commit reports it
-	// and the store suspends appending so the tail cannot diverge.
-	flaky.failNext = true
-	if _, err := st.InsertElement(st.Root(), 0, "lost"); err == nil {
-		t.Fatal("commit with failed append reported no error")
-	}
-	if _, err := st.InsertElement(st.Root(), 0, "after"); err == nil {
-		t.Fatal("append after a lost batch was not suspended")
-	}
-	// The in-memory store kept all three commits (commit publishes even
-	// when durability fails)…
-	for _, tag := range []string{"logged", "lost", "after"} {
-		if len(st.Elements(tag)) != 1 {
-			t.Fatalf("in-memory store lost element <%s>", tag)
-		}
-	}
-	// …and recovery of the pre-failure log still works: the durable
-	// prefix is just the first commit.
-	preRepair, err := ltree.LoadLatest(inner)
-	if err != nil {
-		t.Fatalf("recovery with a suspended tail: %v", err)
-	}
-	if len(preRepair.Elements("logged")) != 1 || len(preRepair.Elements("lost")) != 0 {
-		t.Fatal("durable prefix should end before the lost batch")
-	}
-
-	// Checkpoint repairs: the snapshot covers the lost batches, the
-	// suspension lifts, and subsequent commits are durable again.
-	if _, err := st.Checkpoint(); err != nil {
-		t.Fatalf("repair checkpoint: %v", err)
-	}
-	if _, err := st.InsertElement(st.Root(), 0, "resumed"); err != nil {
-		t.Fatalf("commit after repair: %v", err)
-	}
-	recovered, err := ltree.LoadLatest(inner)
-	if err != nil {
-		t.Fatalf("recovery after repair: %v", err)
-	}
-	if !bytes.Equal(snapshotOf(t, st), snapshotOf(t, recovered)) {
-		t.Fatal("post-repair recovery differs from the live store")
-	}
-}
-
-// failingCkptWAL injects a Checkpoint failure.
+// failingCkptWAL injects one Checkpoint failure when failNext is set.
 type failingCkptWAL struct {
 	ltree.WALBackend
 	failNext bool
@@ -336,56 +273,114 @@ func (f *failingCkptWAL) Checkpoint(snapshot []byte) (uint64, error) {
 	return f.WALBackend.Checkpoint(snapshot)
 }
 
-// TestStoreWALFailedCheckpointSuspends: a failed Checkpoint has already
-// drained the pending ops, so the store must suspend appending until a
-// checkpoint succeeds — otherwise the log has a hole and recovery
-// diverges.
-func TestStoreWALFailedCheckpointSuspends(t *testing.T) {
-	dir := t.TempDir()
+// openFenceStore attaches backend (wrapping a WAL in dir) to a fresh
+// seed store, and commits one <logged> element through it.
+func openFenceStore(t *testing.T, wrap func(ltree.WALBackend) ltree.WALBackend) (*ltree.Store, *storage.WAL) {
+	t.Helper()
 	st, err := ltree.OpenString(replaySeedDoc, ltree.DefaultParams)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := storage.OpenWAL(dir, storage.WALOptions{})
+	inner, err := storage.OpenWAL(t.TempDir(), storage.WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer inner.Close()
-	flaky := &failingCkptWAL{WALBackend: inner}
-	if err := st.WithWAL(flaky); err != nil {
+	t.Cleanup(func() { inner.Close() })
+	if err := st.WithWAL(wrap(inner)); err != nil {
 		t.Fatal(err)
 	}
-	// Pending direct-mutation op, then a failing checkpoint drains it.
+	if _, err := st.InsertElement(st.Root(), 0, "logged"); err != nil {
+		t.Fatal(err)
+	}
+	return st, inner
+}
+
+// checkFenced asserts the fail-stop contract on a store whose last
+// commit failed: the failed change (tag) is in no read, every write and
+// Checkpoint is refused with ErrFenced around the injected cause, and
+// reopening the log yields exactly the commits that returned nil — the
+// seed plus <logged>.
+func checkFenced(t *testing.T, st *ltree.Store, inner *storage.WAL, tag string) {
+	t.Helper()
+	version := st.IndexVersion()
+	if len(st.Elements(tag)) != 0 {
+		t.Fatalf("failed change <%s> is visible", tag)
+	}
+	for name, err := range map[string]error{
+		"InsertElement": func() error { _, err := st.InsertElement(st.Root(), 0, "after"); return err }(),
+		"Update": st.Update(func(b *ltree.Batch) error {
+			_, err := b.InsertElement(st.Root(), 0, "after")
+			return err
+		}),
+		"Delete":     st.Delete(st.Elements("logged")[0]),
+		"Refresh":    st.Refresh(),
+		"Compact":    st.Compact(),
+		"Checkpoint": func() error { _, err := st.Checkpoint(); return err }(),
+		"Snapshot":   st.Snapshot(&bytes.Buffer{}),
+	} {
+		if !errors.Is(err, ltree.ErrFenced) || !errors.Is(err, errInjected) {
+			t.Fatalf("%s on a fenced store: err=%v, want ErrFenced wrapping the cause", name, err)
+		}
+	}
+	if err := st.View(func(tx *ltree.Txn) error {
+		if len(tx.Elements(tag)) != 0 || len(tx.Elements("after")) != 0 || len(tx.Elements("logged")) != 1 {
+			return fmt.Errorf("view does not serve the last committed version")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if st.IndexVersion() != version {
+		t.Fatal("a refused write published a version")
+	}
+	oracle, err := ltree.OpenString(replaySeedDoc, ltree.DefaultParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := oracle.InsertElement(oracle.Root(), 0, "logged"); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := ltree.LoadLatest(inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snapshotOf(t, reopened), snapshotOf(t, oracle)) {
+		t.Fatal("reopened log does not hold exactly the acknowledged commits")
+	}
+}
+
+// TestStoreFailedAppendFences: a commit whose append fails is neither
+// visible nor durable, and fences the store.
+func TestStoreFailedAppendFences(t *testing.T) {
+	var flaky *flakyWAL
+	st, inner := openFenceStore(t, func(w ltree.WALBackend) ltree.WALBackend {
+		flaky = &flakyWAL{WALBackend: w}
+		return flaky
+	})
+	flaky.failNext = true
+	if _, err := st.InsertElement(st.Root(), 0, "lost"); !errors.Is(err, ltree.ErrFenced) || !errors.Is(err, errInjected) {
+		t.Fatalf("commit with a failed append: err=%v, want ErrFenced wrapping the cause", err)
+	}
+	checkFenced(t, st, inner, "lost")
+}
+
+// TestStoreFailedCheckpointFences: a Checkpoint that fails after folding
+// in direct Document() mutations publishes none of them, and fences the
+// store.
+func TestStoreFailedCheckpointFences(t *testing.T) {
+	var flaky *failingCkptWAL
+	st, inner := openFenceStore(t, func(w ltree.WALBackend) ltree.WALBackend {
+		flaky = &failingCkptWAL{WALBackend: w}
+		return flaky
+	})
 	if _, err := st.Document().InsertElement(st.Root(), 0, "direct"); err != nil {
 		t.Fatal(err)
 	}
 	flaky.failNext = true
-	if _, err := st.Checkpoint(); err == nil {
-		t.Fatal("injected checkpoint failure not reported")
+	if _, err := st.Checkpoint(); !errors.Is(err, ltree.ErrFenced) || !errors.Is(err, errInjected) {
+		t.Fatalf("failed checkpoint: err=%v, want ErrFenced wrapping the cause", err)
 	}
-	if _, err := st.InsertElement(st.Root(), 0, "after"); err == nil {
-		t.Fatal("append after a failed checkpoint was not suspended")
-	}
-	// A successful checkpoint repairs, and recovery matches the live
-	// store including the mutation the failed checkpoint had drained.
-	if _, err := st.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.InsertElement(st.Root(), 0, "resumed"); err != nil {
-		t.Fatal(err)
-	}
-	recovered, err := ltree.LoadLatest(inner)
-	if err != nil {
-		t.Fatalf("recovery after repaired checkpoint: %v", err)
-	}
-	if !bytes.Equal(snapshotOf(t, st), snapshotOf(t, recovered)) {
-		t.Fatal("recovered snapshot differs from live store")
-	}
-	for _, tag := range []string{"direct", "after", "resumed"} {
-		if len(recovered.Elements(tag)) != 1 {
-			t.Fatalf("recovered store missing <%s>", tag)
-		}
-	}
+	checkFenced(t, st, inner, "direct")
 }
 
 // TestStoreWALCheckpointFoldsPendingOps covers the direct-mutation
